@@ -6,8 +6,7 @@ that are not members.
 """
 
 import argparse
-
-import numpy as np
+import random
 
 from fpaccel import (
     affinity_test,
@@ -22,13 +21,13 @@ p.add_argument("--seed", type=int, default=0)
 p.add_argument("--draws", type=int, default=5)
 args = p.parse_args()
 
-rng = np.random.default_rng(args.seed)
+rng = random.Random(args.seed)
 
 print("random members")
 for k in range(args.draws):
-    alpha = float(rng.uniform(0.25, 3.0) * rng.choice([-1.0, 1.0]))
-    beta = float(rng.uniform(1.1, 4.0))
-    xs = float(rng.uniform(-2.0, 2.0))
+    alpha = rng.uniform(0.25, 3.0) * rng.choice([-1.0, 1.0])
+    beta = rng.uniform(1.1, 4.0)
+    xs = rng.uniform(-2.0, 2.0)
     m = kernel_family_map(alpha, beta, xs)
     va = affinity_test(m, xs - 0.15, 0.1)
     vf = kernel_family_fit(m, xs, [xs - 0.05 * j for j in range(1, 7)])

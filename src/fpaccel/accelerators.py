@@ -25,7 +25,7 @@ there, so the order of the guards is load-bearing.
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -236,10 +236,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return sign * _simpson_branch(f, a, b, fa, fm, fb, whole, tol, 48, None)
+    return sign * _simpson_branch(f, a, b, fa, fm, fb, whole, tol, 48)
 
 
-def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth, panels):
+def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
@@ -247,74 +247,26 @@ def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth, panels):
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     err = left + right - whole
     if abs(err) <= 15.0 * tol:
-        if panels is not None:
-            panels.append((a, m, left + err / 30.0))
-            panels.append((m, b, right + err / 30.0))
         return left + right + err / 15.0
     if depth <= 0:
         raise QuadratureError(f"tolerance not reached on [{a:g}, {b:g}]")
     return _simpson_branch(
-        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, panels
-    ) + _simpson_branch(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, panels)
-
-
-class _Antiderivative:
-    """Callable x -> integral of f from 0 to x, panel-cached over [lo, hi].
-
-    The interval is decomposed once by the adaptive rule; point queries
-    cost a bisection plus one small fresh integration over the partial
-    panel.  Keeps nested antiderivatives (an antiderivative of an
-    antiderivative) affordable.
-    """
-
-    __slots__ = ("f", "tol", "_starts", "_ends", "_cum", "_lo", "_hi", "_base")
-
-    def __init__(self, f, lo: float, hi: float, tol: float = QUAD_TOL):
-        lo = min(lo, 0.0)
-        hi = max(hi, 0.0)
-        self.f = f
-        self.tol = tol
-        panels: list[tuple[float, float, float]] = []
-        if lo < hi:
-            m = 0.5 * (lo + hi)
-            fa, fm, fb = f(lo), f(m), f(hi)
-            whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-            _simpson_branch(f, lo, hi, fa, fm, fb, whole, tol, 48, panels)
-        self._lo = lo
-        self._hi = hi
-        self._starts = [p[0] for p in panels]
-        self._ends = [p[1] for p in panels]
-        cum = [0.0]
-        for _, _, v in panels:
-            cum.append(cum[-1] + v)
-        self._cum = cum
-        self._base = 0.0
-        self._base = self._from_lo(0.0)
-
-    def _from_lo(self, x: float) -> float:
-        # integral of f from lo to x
-        if not self._starts:
-            return 0.0
-        if x <= self._lo:
-            return adaptive_simpson(self.f, self._lo, x, self.tol) if x < self._lo else 0.0
-        if x >= self._hi:
-            tail = adaptive_simpson(self.f, self._hi, x, self.tol) if x > self._hi else 0.0
-            return self._cum[-1] + tail
-        i = bisect.bisect_right(self._starts, x) - 1
-        partial = adaptive_simpson(self.f, self._starts[i], x, self.tol)
-        return self._cum[i] + partial
-
-    def __call__(self, x: float) -> float:
-        return self._from_lo(x) - self._base
+        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1
+    ) + _simpson_branch(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
 
 
 def integral_step(x: Scalar, g, depth: int, tol: float = QUAD_TOL) -> StepOutcome:
     """Step through the depth-fold antiderivative of a map pinned at 0.
 
     With h_0 = g and h_j(x) = integral of h_{j-1} from 0 to x, returns
-    h_depth(x).  For a map g with fixed point 0 the repeated averaging
-    flattens the residual, one contact order per level.  Real arguments
-    only; ``depth`` is 1, 2 or 3.
+    h_depth(x).  Cauchy's formula for repeated integration folds the d
+    nested integrals into one,
+
+        h_d(x) = integral from 0 to x of (x - t)^(d-1) g(t) dt / (d-1)!,
+
+    so each step is a single adaptive quadrature.  For a map g with fixed
+    point 0 the repeated averaging flattens the residual, one contact
+    order per level.  Real arguments only; ``depth`` is 1, 2 or 3.
     """
     if isinstance(x, complex):
         raise ValueError("integral step handles real points only")
@@ -323,11 +275,9 @@ def integral_step(x: Scalar, g, depth: int, tol: float = QUAD_TOL) -> StepOutcom
     value_of = g.value if hasattr(g, "value") else g
     if x == 0.0:
         return StepOutcome(0.0, StepStatus.OK)
-    lo, hi = min(0.0, float(x)), max(0.0, float(x))
-    fn = value_of
-    for _ in range(depth - 1):
-        fn = _Antiderivative(fn, lo, hi, tol)
-    val = adaptive_simpson(fn, 0.0, float(x), tol)
+    x = float(x)
+    fn = value_of if depth == 1 else lambda t: (x - t) ** (depth - 1) * value_of(t)
+    val = adaptive_simpson(fn, 0.0, x, tol) / math.factorial(depth - 1)
     if not is_finite(val):
         return StepOutcome(val, StepStatus.NONFINITE)
     return StepOutcome(val, StepStatus.OK)

@@ -32,7 +32,7 @@ from .accelerators import (
 )
 from .engine import IterationTrace, iterate
 from .jets import Scalar, is_finite
-from .maps import CorpusError, ProblemSpec, corpus_lookup, corpus_names
+from .maps import ProblemSpec, corpus_lookup, corpus_names
 from .transforms import aitken_delta2, iterated_aitken, sequence_view, theta2, w_transform
 
 SIMPLE_STEPS = ("plain", "first_newton", "standard", "phi", "steffensen")
@@ -382,6 +382,8 @@ def main(argv: Optional[list] = None) -> int:
             return run_suite(args.suite)
         if not args.problem:
             raise UsageError("nothing to do: give --problem or --suite")
+        if args.tol < 0:
+            raise UsageError(f"--tol must be non-negative, got {args.tol!r}")
         prob = corpus_lookup(args.problem, **_parse_params(args.param))
         x0: Optional[Scalar] = args.x0
         if args.x0_im is not None:
@@ -391,7 +393,7 @@ def main(argv: Optional[list] = None) -> int:
         exp = run_experiment(prob, methods, x0, args.max_iter, args.tol)
         print(render(exp, args.format))
         return 0
-    except (CorpusError, UsageError) as e:
+    except ValueError as e:  # UsageError, CorpusError and bad method arguments
         print(f"error: {e}", file=sys.stderr)
         return 2
 

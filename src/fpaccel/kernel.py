@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .accelerators import first_newton_step
 from .jets import Scalar, is_finite
 
@@ -40,6 +38,19 @@ __all__ = [
 
 class FitInconclusiveError(RuntimeError):
     """Not enough usable samples to decide membership either way."""
+
+
+def _line_fit(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> tuple[Scalar, Scalar, float]:
+    """Least-squares line y = a x + b, real or complex: (a, b, max residual)."""
+    n = len(xs)
+    x_mean, y_mean = sum(xs) / n, sum(ys) / n
+    dxs = [x - x_mean for x in xs]
+    spread = sum(abs(d) ** 2 for d in dxs)
+    if spread == 0.0:
+        raise FitInconclusiveError("all samples sit at the same abscissa")
+    a = sum(d.conjugate() * (y - y_mean) for d, y in zip(dxs, ys)) / spread
+    b = y_mean - a * x_mean
+    return a, b, max(abs(y - (a * x + b)) for x, y in zip(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -99,13 +110,7 @@ def affinity_test(u, center: Scalar, radius: float, n_samples: int = 9) -> Kerne
         raise FitInconclusiveError(
             f"only {len(xs)} of {n_samples} first-step samples usable"
         )
-    design = np.stack([np.asarray(xs), np.ones(len(xs), dtype=np.asarray(xs).dtype)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.asarray(vs), rcond=None)
-    a, b = coef[0], coef[1]
-    fit = design @ coef
-    residual = float(np.max(np.abs(np.asarray(vs) - fit)))
-    a_s: Scalar = complex(a) if np.iscomplexobj(coef) else float(a)
-    b_s: Scalar = complex(b) if np.iscomplexobj(coef) else float(b)
+    a_s, b_s, residual = _line_fit(xs, vs)
     member = residual <= AFFINE_RESIDUAL_TOL * (1.0 + abs(b_s))
     if not member:
         return KernelVerdict(False, "none", residual, slope=a_s)
@@ -154,10 +159,7 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
         sides.append(1.0 if gap > 0 else -1.0)
     if len(logr) < 3:
         raise FitInconclusiveError(f"only {len(logr)} usable probes")
-    design = np.stack([np.asarray(logr), np.ones(len(logr))], axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.asarray(logd), rcond=None)
-    beta, logc = float(coef[0]), float(coef[1])
-    residual = float(np.max(np.abs(design @ coef - np.asarray(logd))))
+    beta, logc, residual = _line_fit(logr, logd)
     magnitude = math.exp(logc)
     alpha = signs[0] * magnitude
     convention = "(x - x_star)^beta" if sides[0] > 0 else "(x_star - x)^beta"

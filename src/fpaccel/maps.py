@@ -9,7 +9,8 @@ map with a start point and optional golden values used by the CLI suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import jets
@@ -157,28 +158,15 @@ def kernel_family_map(alpha: Scalar, beta: float, x_star: Scalar) -> IterationMa
     kind = NEUTRAL if b > 1 else HYPERBOLIC
     lead = None
     if order is not None and order >= 2:
-        # m-th derivative of alpha*(x*-x)^m is alpha*m!*(-1)^m
-        fact = 1.0
-        for i in range(2, order + 1):
-            fact *= i
-        lead = alpha * fact * (-1.0) ** order
+        # m-th derivative of alpha*(x*-x)^m is alpha*m!*(-1)^m; a float
+        # product overflows to inf where math.factorial would raise
+        lead = alpha * math.prod(range(2, order + 1), start=1.0) * (-1.0) ** order
     return IterationMap(
         f"kernel_family(alpha={alpha}, beta={beta}, x_star={x_star})",
         u,
         kind,
         order,
         lead,
-    )
-
-
-def _power_family(alpha: Scalar, r: float, x_star: Scalar) -> IterationMap:
-    m = kernel_family_map(alpha, r, x_star)
-    return IterationMap(
-        f"power_family(alpha={alpha}, r={r}, x_star={x_star})",
-        m.fn,
-        m.kind,
-        m.contact_order,
-        m.lead_coefficient,
     )
 
 
@@ -206,10 +194,7 @@ def _s_family(alphas: tuple, r: float, x_star: Scalar) -> IterationMap:
     order = int(b) if b == int(b) else None
     lead = None
     if order is not None:
-        fact = 1.0
-        for i in range(2, order + 1):
-            fact *= i
-        lead = coeffs[first - 1] * fact
+        lead = coeffs[first - 1] * math.prod(range(2, order + 1), start=1.0)
     return IterationMap(
         f"s_family(alphas={alphas}, r={r}, x_star={x_star})",
         u,
@@ -317,9 +302,13 @@ def _build_power_family(params: dict) -> ProblemSpec:
         raise CorpusError(f"power_family needs parameter {e.args[0]}") from None
     x_star = params.pop("x_star", 0.0)
     _reject_params("power_family", params)
-    if float(r) <= 1.0:
+    r = float(r)
+    if r <= 1.0:
         raise CorpusError("power_family needs r > 1")
-    m = _power_family(alpha, float(r), x_star)
+    m = replace(
+        kernel_family_map(alpha, r, x_star),
+        name=f"power_family(alpha={alpha}, r={r}, x_star={x_star})",
+    )
     return ProblemSpec(m, x_star + 0.25, x_star)
 
 

@@ -193,16 +193,26 @@ def test_adaptive_simpson_reports_failure():
 
 
 def test_integral_step_closed_forms():
-    # antiderivative tower of sin pinned at 0:
-    # one level 1 - cos x, two levels x - sin x, three x^2/2 + cos x - 1
-    for x in (-1.5, -0.5, 0.25, 1.0, 2.0):
-        h1 = integral_step(x, SIN, 1)
-        h2 = integral_step(x, SIN, 2)
-        h3 = integral_step(x, SIN, 3)
-        assert h1.ok and h2.ok and h3.ok
-        assert abs(h1.value - (1.0 - math.cos(x))) <= 1e-10
-        assert abs(h2.value - (x - math.sin(x))) <= 1e-10
-        assert abs(h3.value - (x * x / 2.0 + math.cos(x) - 1.0)) <= 1e-10
+    # antiderivative towers pinned at 0, depths 1, 2 and 3
+    towers = {
+        SIN: (
+            lambda x: 1.0 - math.cos(x),
+            lambda x: x - math.sin(x),
+            lambda x: x * x / 2.0 + math.cos(x) - 1.0,
+        ),
+        # logistic a=1: u = x - x^2
+        LOG1: (
+            lambda x: x**2 / 2.0 - x**3 / 3.0,
+            lambda x: x**3 / 6.0 - x**4 / 12.0,
+            lambda x: x**4 / 24.0 - x**5 / 60.0,
+        ),
+    }
+    for u, closed_forms in towers.items():
+        for depth, closed in enumerate(closed_forms, start=1):
+            for x in (-2.5, -1.5, -0.5, 0.25, 1.0, 2.0, 2.5):
+                out = integral_step(x, u, depth)
+                assert out.ok
+                assert abs(out.value - closed(x)) <= 1e-12, (u.name, depth, x)
 
 
 def test_integral_step_edges():

@@ -183,6 +183,12 @@ def test_unknown_suite(capsys):
         ["--problem", "logistic", "--param", "a=fast"],
         ["--problem", "sin", "--param", "a=1.0"],
         [],
+        ["--problem", "sin", "--method", "compose:standard:0"],
+        ["--problem", "sin", "--method", "iterated_aitken:50", "--max-iter", "5"],
+        ["--problem", "sin", "--method", "aitken", "--max-iter", "1"],
+        ["--problem", "kvb_complex", "--method", "integral:2"],
+        ["--problem", "sin", "--max-iter", "-1"],
+        ["--problem", "sin", "--tol=-1e-9"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

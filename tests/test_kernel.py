@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fpaccel
 from fpaccel import jets
 from fpaccel.accelerators import standard_step
 from fpaccel.kernel import (
     FitInconclusiveError,
+    _line_fit,
     affinity_test,
     kernel_family_fit,
 )
@@ -131,6 +138,46 @@ def test_family_fit_inconclusive_on_identity():
     ident = IterationMap("identity", lambda x: x)
     with pytest.raises(FitInconclusiveError):
         kernel_family_fit(ident, 0.0, [0.1, 0.2, 0.3])
+
+
+def test_family_fit_inconclusive_on_one_probe_distance():
+    # every probe at |x - x*| = 0.1 leaves the exponent undetermined
+    with pytest.raises(FitInconclusiveError):
+        kernel_family_fit(LOG1, 0.0, [0.1, -0.1, 0.1])
+
+
+def test_line_fit_matches_numpy_lstsq():
+    rng = np.random.default_rng(3)
+    for complex_points in (False, True):
+        for _ in range(200):
+            n = int(rng.integers(3, 12))
+            xs = rng.normal(size=n) * rng.uniform(0.01, 10.0) + rng.uniform(-5.0, 5.0)
+            ys = rng.normal(size=n) * rng.uniform(0.01, 10.0)
+            if complex_points:
+                xs = xs + 1j * rng.normal(size=n)
+                ys = ys + 1j * rng.normal(size=n)
+            design = np.stack([xs, np.ones(n, dtype=xs.dtype)], axis=1)
+            coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+            a_ref, b_ref = coef
+            res_ref = np.max(np.abs(ys - design @ coef))
+            a, b, res = _line_fit(xs.tolist(), ys.tolist())
+            assert isinstance(a, complex) == complex_points
+            assert abs(a - a_ref) <= 1e-12 * (1.0 + abs(a_ref))
+            assert abs(b - b_ref) <= 1e-12 * (1.0 + abs(b_ref))
+            assert abs(res - res_ref) <= 1e-12 * (1.0 + res_ref)
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(fpaccel.__file__).resolve().parent.parent)
+    code = "import sys, fpaccel; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_family_fit_skips_bad_probes():
