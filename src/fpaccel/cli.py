@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 from .accelerators import (
     DEFAULT_TOL,
+    QuadratureError,
     StepOutcome,
     StepStatus,
     compose_step,
@@ -393,7 +394,7 @@ def main(argv: Optional[list] = None) -> int:
         exp = run_experiment(prob, methods, x0, args.max_iter, args.tol)
         print(render(exp, args.format))
         return 0
-    except ValueError as e:  # UsageError, CorpusError and bad method arguments
+    except (ValueError, QuadratureError) as e:  # UsageError, CorpusError, bad method arguments
         print(f"error: {e}", file=sys.stderr)
         return 2
 

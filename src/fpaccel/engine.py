@@ -166,9 +166,17 @@ def empirical_order(
     superlinear_cut: float = 0.05,
     stability_rtol: float = 0.1,
 ) -> OrderReport:
-    """Classify convergence from successive error ratios |e_{n+1}|/|e_n|."""
+    """Classify convergence from successive error ratios |e_{n+1}|/|e_n|.
+
+    A trace whose step reported its input already fixed ends with that
+    input recorded twice; the repeat is dropped, since its unit error
+    ratio would read as logarithmic.
+    """
     if isinstance(trace_or_values, IterationTrace):
         values = trace_or_values.values()
+        pts = trace_or_values.points
+        if len(pts) >= 2 and pts[-1].status == "converged" and pts[-1].value == pts[-2].value:
+            values = values[:-1]
     else:
         values = tuple(trace_or_values)
     if len(values) < 4:

@@ -14,6 +14,18 @@ Seed an evaluation point with :func:`lift` and constants with
 >>> (y.v0, y.v1, y.v2)
 (4.0, 4.0, 2.0)
 
+The elementary functions (:func:`sin`, :func:`cos`, :func:`exp`,
+:func:`log`, :func:`sqrt`, :func:`pow_real`) also accept a bare float or
+complex.  On a scalar they return the value alone, after the same domain
+checks as on a jet, so one function body serves both evaluations: run on
+``lift(x)`` it gives the jet, run on ``x`` it gives exactly that jet's
+``v0``.  Such a body raises a fractional power with :func:`pow_real`, not
+``**``: on a bare negative float ``**`` returns a complex number where
+:func:`pow_real` raises :class:`JetDomainError`.
+
+>>> sin(0.5) == sin(lift(0.5)).v0
+True
+
 Real jets use :mod:`math`, complex jets use :mod:`cmath`.  On platforms
 where ``cmath`` reduces real-axis arguments through the same kernels as
 ``math`` (this is the common case), a complex jet seeded on the real axis
@@ -185,7 +197,9 @@ def _chain(a: Jet2, f0: Scalar, f1: Scalar, f2: Scalar) -> Jet2:
     return Jet2(f0, f1 * a.v1, f2 * a.v1 * a.v1 + f1 * a.v2)
 
 
-def sin(a: Jet2) -> Jet2:
+def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
+    if not isinstance(a, Jet2):
+        return cmath.sin(a) if isinstance(a, complex) else math.sin(a)
     z = a.v0
     if isinstance(z, complex):
         s, c = cmath.sin(z), cmath.cos(z)
@@ -194,7 +208,9 @@ def sin(a: Jet2) -> Jet2:
     return _chain(a, s, c, -s)
 
 
-def cos(a: Jet2) -> Jet2:
+def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
+    if not isinstance(a, Jet2):
+        return cmath.cos(a) if isinstance(a, complex) else math.cos(a)
     z = a.v0
     if isinstance(z, complex):
         s, c = cmath.sin(z), cmath.cos(z)
@@ -203,15 +219,18 @@ def cos(a: Jet2) -> Jet2:
     return _chain(a, c, -s, -c)
 
 
-def exp(a: Jet2) -> Jet2:
+def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
+    if not isinstance(a, Jet2):
+        return cmath.exp(a) if isinstance(a, complex) else math.exp(a)
     z = a.v0
     e = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
     return _chain(a, e, e, e)
 
 
-def log(a: Jet2) -> Jet2:
-    """Natural logarithm (principal branch for complex jets)."""
-    z = a.v0
+def log(a: Jet2 | Scalar) -> Jet2 | Scalar:
+    """Natural logarithm (principal branch for complex arguments)."""
+    jet = isinstance(a, Jet2)
+    z = a.v0 if jet else a
     if isinstance(z, complex):
         if z == 0:
             raise JetDomainError("log of zero")
@@ -220,22 +239,27 @@ def log(a: Jet2) -> Jet2:
         if z <= 0.0:
             raise JetDomainError(f"log of non-positive real {z!r}")
         f0 = math.log(z)
+    if not jet:
+        return f0
     inv = 1.0 / z
     return _chain(a, f0, inv, -inv * inv)
 
 
-def sqrt(a: Jet2) -> Jet2:
-    z = a.v0
+def sqrt(a: Jet2 | Scalar) -> Jet2 | Scalar:
+    jet = isinstance(a, Jet2)
+    z = a.v0 if jet else a
     if isinstance(z, complex):
         if z == 0:
             raise JetDomainError("sqrt of complex zero has no finite jet")
         f0 = cmath.sqrt(z)
-        return _chain(a, f0, 0.5 / f0, -0.25 / (z * f0))
-    if z < 0.0:
-        raise JetDomainError(f"sqrt of negative real {z!r}")
-    if z == 0.0:
-        return _pow_factors(a, 0.0, math.inf, -math.inf)
-    f0 = math.sqrt(z)
+    else:
+        if z < 0.0:
+            raise JetDomainError(f"sqrt of negative real {z!r}")
+        if z == 0.0:
+            return _pow_factors(a, 0.0, math.inf, -math.inf) if jet else 0.0
+        f0 = math.sqrt(z)
+    if not jet:
+        return f0
     return _chain(a, f0, 0.5 / f0, -0.25 / (z * f0))
 
 
@@ -258,46 +282,55 @@ def _zero_base_power(e: float) -> float:
     return math.inf
 
 
-def pow_real(a: Jet2, exponent: float) -> Jet2:
-    """Raise a jet to a fixed real exponent.
+def pow_real(a: Jet2 | Scalar, exponent: float) -> Jet2 | Scalar:
+    """Raise a jet or a scalar to a fixed real exponent.
 
     Negative real bases are allowed only for integer exponents; a zero
     base needs a non-negative exponent, and its derivative components
     become infinite when the exponent is below the derivative order.
-    Complex bases use the principal branch.
+    Complex bases use the principal branch.  Map bodies call this rather
+    than ``**``: on a bare negative float, ``**`` with a fractional
+    exponent returns a complex number instead of raising.
     """
     if isinstance(exponent, bool) or not isinstance(exponent, (int, float)):
         raise TypeError("exponent must be a real number")
     b = float(exponent)
     if not math.isfinite(b):
         raise JetDomainError("exponent must be finite")
-    z = a.v0
+    jet = isinstance(a, Jet2)
+    z = a.v0 if jet else a
     integral = b == int(b)
     c2 = b * (b - 1.0)
 
     if isinstance(z, complex):
         if z == 0:
             if b == 0.0:
-                return Jet2(complex(1.0), 0j, 0j)
+                return Jet2(complex(1.0), 0j, 0j) if jet else complex(1.0)
             if b < 0.0:
                 raise JetDomainError("zero base with negative exponent")
             if not integral:
                 raise JetDomainError(
                     "complex zero base with fractional exponent has no finite jet"
                 )
+            if not jet:
+                return complex(0.0)
             d1 = b * _zero_base_power(b - 1.0)
             d2 = 0.0 if c2 == 0.0 else c2 * _zero_base_power(b - 2.0)
             return _pow_factors(a, complex(0.0), d1, d2)
         f0 = z**b
+        if not jet:
+            return f0
         d1 = b * z ** (b - 1.0)
         d2 = c2 * z ** (b - 2.0)
         return _chain(a, f0, d1, d2)
 
     if z == 0.0:
         if b == 0.0:
-            return Jet2(1.0, 0.0, 0.0)
+            return Jet2(1.0, 0.0, 0.0) if jet else 1.0
         if b < 0.0:
             raise JetDomainError("zero base with negative exponent")
+        if not jet:
+            return 0.0
         f0 = 0.0
         d1 = 0.0 if b == 0.0 else b * _zero_base_power(b - 1.0)
         d2 = 0.0 if c2 == 0.0 else c2 * _zero_base_power(b - 2.0)
@@ -307,6 +340,8 @@ def pow_real(a: Jet2, exponent: float) -> Jet2:
             f"negative real base {z!r} with fractional exponent; lift to complex instead"
         )
     f0 = math.pow(z, b)
+    if not jet:
+        return f0
     d1 = b * math.pow(z, b - 1.0)
     d2 = 0.0 if c2 == 0.0 else c2 * math.pow(z, b - 2.0)
     return _chain(a, f0, d1, d2)

@@ -1,6 +1,6 @@
 """Iteration maps and the bundled corpus of fixed point problems.
 
-An :class:`IterationMap` wraps a jet-to-jet callable together with what is
+An :class:`IterationMap` wraps a map body together with what is
 known about its fixed point: whether the slope there is exactly one
 (neutral) or bounded away from one (hyperbolic), the order of contact
 with the identity, and the leading derivative value.  Problems bundle a
@@ -42,6 +42,11 @@ class CorpusError(ValueError):
 class IterationMap:
     """A self-map u together with fixed point metadata.
 
+    ``fn`` is the map body.  :meth:`at` calls it on a :class:`Jet2` and
+    :meth:`value` on a bare float or complex, so the body uses only
+    arithmetic and the elementary functions of :mod:`fpaccel.jets`, and
+    raises a fractional power with ``jets.pow_real`` rather than ``**``.
+
     ``contact_order`` is the order of the zero of ``u(x) - x`` at the
     fixed point (2 or more for a neutral map that is flat there),
     ``lead_coefficient`` the value of the first non-vanishing derivative
@@ -50,7 +55,7 @@ class IterationMap:
     """
 
     name: str
-    fn: Callable[[Jet2], Jet2]
+    fn: Callable[[Jet2 | Scalar], Jet2 | Scalar]
     kind: str = UNKNOWN
     contact_order: Optional[int] = None
     lead_coefficient: Optional[Scalar] = None
@@ -61,7 +66,8 @@ class IterationMap:
         return self.fn(lift(x))
 
     def value(self, x: Scalar) -> Scalar:
-        return self.fn(lift(x)).v0
+        """Evaluate the map alone at ``x``; equals ``at(x).v0``."""
+        return self.fn(x + 0.0)
 
 
 @dataclass(frozen=True)
@@ -116,22 +122,22 @@ class ProblemSpec:
 # ---------- map constructors ----------
 
 
-def _sin_fn(x: Jet2) -> Jet2:
+def _sin_fn(x: Jet2 | Scalar) -> Jet2 | Scalar:
     return jets.sin(x)
 
 
-def _logistic_fn(a: float) -> Callable[[Jet2], Jet2]:
-    def u(x: Jet2) -> Jet2:
+def _logistic_fn(a: float) -> Callable[[Jet2 | Scalar], Jet2 | Scalar]:
+    def u(x: Jet2 | Scalar) -> Jet2 | Scalar:
         return a * x * (1.0 - x)
 
     return u
 
 
-def _fdil_fn(x: Jet2) -> Jet2:
-    return x + (x - 1.0) ** 1.5
+def _fdil_fn(x: Jet2 | Scalar) -> Jet2 | Scalar:
+    return x + jets.pow_real(x - 1.0, 1.5)
 
 
-def _kvb_fn(z: Jet2) -> Jet2:
+def _kvb_fn(z: Jet2 | Scalar) -> Jet2 | Scalar:
     # entire function with a double zero at 2; explicit products, no pow
     zm2 = z - 2.0
     f = z * z * zm2 * zm2 * (jets.exp(2.0 * z) * jets.cos(z) + z * z * z - 1.0 - jets.sin(z))
@@ -150,8 +156,8 @@ def kernel_family_map(alpha: Scalar, beta: float, x_star: Scalar) -> IterationMa
     if alpha == 0:
         raise CorpusError("alpha must be nonzero")
 
-    def u(x: Jet2) -> Jet2:
-        return x + alpha * (x_star - x) ** beta
+    def u(x: Jet2 | Scalar) -> Jet2 | Scalar:
+        return x + alpha * jets.pow_real(x_star - x, beta)
 
     b = float(beta)
     order = int(b) if b == int(b) else None
@@ -179,12 +185,12 @@ def _s_family(alphas: tuple, r: float, x_star: Scalar) -> IterationMap:
         raise CorpusError("r must be at least 1")
     coeffs = tuple(float(a) if not isinstance(a, complex) else a for a in alphas)
 
-    def u(x: Jet2) -> Jet2:
+    def u(x: Jet2 | Scalar) -> Jet2 | Scalar:
         d = x - x_star
         acc = x
         for i, a in enumerate(coeffs, start=1):
             if a != 0:
-                acc = acc + a * d ** (r + i)
+                acc = acc + a * jets.pow_real(d, r + i)
         return acc
 
     first = next((i for i, a in enumerate(coeffs, start=1) if a != 0), None)
@@ -265,7 +271,7 @@ def _build_sin(params: dict) -> ProblemSpec:
 
 
 def _build_logistic(params: dict) -> ProblemSpec:
-    a = params.pop("a", 1.0)
+    a = _pop_number(params, "logistic", "a", 1.0)
     _reject_params("logistic", params)
     if isinstance(a, complex):
         raise CorpusError("parameter a must be real")
@@ -295,12 +301,9 @@ def _build_fdil(params: dict) -> ProblemSpec:
 
 
 def _build_power_family(params: dict) -> ProblemSpec:
-    try:
-        alpha = params.pop("alpha")
-        r = params.pop("r")
-    except KeyError as e:
-        raise CorpusError(f"power_family needs parameter {e.args[0]}") from None
-    x_star = params.pop("x_star", 0.0)
+    alpha = _pop_number(params, "power_family", "alpha")
+    r = _pop_number(params, "power_family", "r")
+    x_star = _pop_number(params, "power_family", "x_star", 0.0)
     _reject_params("power_family", params)
     r = float(r)
     if r <= 1.0:
@@ -313,12 +316,11 @@ def _build_power_family(params: dict) -> ProblemSpec:
 
 
 def _build_s_family(params: dict) -> ProblemSpec:
-    try:
-        alphas = params.pop("alphas")
-        r = params.pop("r")
-    except KeyError as e:
-        raise CorpusError(f"s_family needs parameter {e.args[0]}") from None
-    x_star = params.pop("x_star", 0.0)
+    if "alphas" not in params:
+        raise CorpusError("s_family needs parameter alphas")
+    alphas = params.pop("alphas")
+    r = _pop_number(params, "s_family", "r")
+    x_star = _pop_number(params, "s_family", "x_star", 0.0)
     _reject_params("s_family", params)
     if not isinstance(alphas, (tuple, list)):
         alphas = (alphas,)
@@ -337,6 +339,19 @@ def _build_kvb(params: dict) -> ProblemSpec:
         "complex start near 2",
     )
     return ProblemSpec(m, complex(1.9, 0.1), complex(2.0, 0.0), _KVB_GOLDEN)
+
+
+_REQUIRED = object()
+
+
+def _pop_number(params: dict, problem: str, key: str, default=_REQUIRED):
+    # the CLI parses "K=1,2" into a tuple, which only s_family's alphas takes
+    value = params.pop(key, default)
+    if value is _REQUIRED:
+        raise CorpusError(f"{problem} needs parameter {key}")
+    if isinstance(value, (tuple, list)):
+        raise CorpusError(f"{problem} parameter {key} takes one number, got {value!r}")
+    return value
 
 
 def _reject_params(name: str, leftover: dict) -> None:

@@ -189,6 +189,11 @@ def test_unknown_suite(capsys):
         ["--problem", "kvb_complex", "--method", "integral:2"],
         ["--problem", "sin", "--max-iter", "-1"],
         ["--problem", "sin", "--tol=-1e-9"],
+        ["--problem", "power_family", "--param", "alpha=1", "--param", "r=1,2"],
+        ["--problem", "s_family", "--param", "alphas=1", "--param", "r=1,2"],
+        ["--problem", "logistic", "--param", "a=1,2"],
+        ["--problem", "power_family", "--param", "alpha=1,2", "--param", "r=3"],
+        ["--problem", "sin", "--method", "integral:2", "--x0", "1e300"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -67,7 +67,7 @@ def test_standard_step_superlinear_and_converges():
     assert abs(tr.last()) < 1e-11
     assert tr.error_sequence is not None
     assert len(tr.error_sequence) == len(tr.points)
-    rep = empirical_order(tr.values()[:5], 0.0)
+    rep = empirical_order(tr, 0.0)
     assert rep.verdict == "superlinear"
 
 

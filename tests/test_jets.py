@@ -137,6 +137,50 @@ def test_pow_zero_base_edges():
         pow_real(lift(1.0), 1j)
 
 
+_SCALAR_CASES = [
+    ("sin", jets.sin, math.sin, cmath.sin),
+    ("cos", jets.cos, math.cos, cmath.cos),
+    ("exp", jets.exp, math.exp, cmath.exp),
+    ("log", jets.log, math.log, cmath.log),
+    ("sqrt", jets.sqrt, math.sqrt, cmath.sqrt),
+    ("pow_2.5", lambda a: pow_real(a, 2.5), lambda t: math.pow(t, 2.5), lambda z: z**2.5),
+    ("pow_3", lambda a: pow_real(a, 3), lambda t: math.pow(t, 3.0), lambda z: z**3.0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,fn,real_ref,complex_ref", _SCALAR_CASES, ids=[c[0] for c in _SCALAR_CASES]
+)
+def test_elementary_on_bare_scalars(name, fn, real_ref, complex_ref):
+    rng = np.random.default_rng(17)
+    for t in rng.uniform(0.01, 4.0, size=50):
+        t = float(t)
+        got = fn(t)
+        assert type(got) is float
+        assert got == real_ref(t)
+        z = complex(t - 2.0, float(rng.uniform(-2.0, 2.0)))
+        got = fn(z)
+        assert type(got) is complex
+        assert got == complex_ref(z)
+
+
+def test_elementary_scalar_domain_errors():
+    for call in (
+        lambda: pow_real(-0.5, 1.5),
+        lambda: pow_real(0.0, -1.0),
+        lambda: pow_real(0j, 0.5),
+        lambda: jets.log(0.0),
+        lambda: jets.log(0j),
+        lambda: jets.sqrt(-1.0),
+        lambda: jets.sqrt(0j),
+    ):
+        with pytest.raises(JetDomainError):
+            call()
+    assert pow_real(0.0, 0.0) == 1.0
+    assert pow_real(0j, 2.0) == 0j and type(pow_real(0j, 2.0)) is complex
+    assert jets.sqrt(-0.0) == 0.0 and math.copysign(1.0, jets.sqrt(-0.0)) == 1.0
+
+
 def test_pow_negative_base_integer_exponent():
     j = pow_real(lift(-2.0), 3)
     assert j.v0 == -8.0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -130,6 +131,100 @@ def test_kernel_family_map_values():
     assert abs(m.value(0.8) - (0.8 + 0.5 * 0.2**2)) < 1e-15
 
 
+def _outcome(f, x):
+    try:
+        return f(x)
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+def _real_points(rng, lo, hi, n=400):
+    return [rng.uniform(lo, hi) for _ in range(n)]
+
+
+def _complex_points(rng, center, radius, n=400):
+    return [
+        complex(center + rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+        for _ in range(n)
+    ]
+
+
+def _kernel_draws(rng, n=60):
+    # fractional exponents; probes on both sides of x_star, so half leave
+    # the real domain of (x_star - x)**beta
+    out = []
+    for _ in range(n):
+        alpha = rng.choice((1.0, -1.0)) * rng.uniform(0.25, 3.0)
+        beta = rng.uniform(1.1, 4.0)
+        xs = rng.uniform(-2.0, 2.0)
+        pts = [xs] + _real_points(rng, xs - 0.5, xs + 0.5, 20)
+        out.append((kernel_family_map(alpha, beta, xs), pts))
+    return out
+
+
+_VALUE_CASES = {
+    "sin": lambda rng: [(corpus_lookup("sin").map, _real_points(rng, -4.0, 4.0))],
+    "logistic_a1": lambda rng: [
+        (corpus_lookup("logistic", a=1.0).map, _real_points(rng, -2.0, 3.0))
+    ],
+    "logistic_a2.5": lambda rng: [
+        (corpus_lookup("logistic", a=2.5).map, _real_points(rng, -2.0, 3.0))
+    ],
+    "fdil": lambda rng: [
+        (
+            corpus_lookup("fdil").map,
+            [1.0] + _real_points(rng, -1.0, 4.0) + _complex_points(rng, 1.0, 2.0),
+        )
+    ],
+    "power_family": lambda rng: [
+        (corpus_lookup("power_family", alpha=2.0, r=3.0).map, _real_points(rng, -2.0, 2.0))
+    ],
+    "power_family_fractional": lambda rng: [
+        (
+            corpus_lookup("power_family", alpha=1.0, r=2.5).map,
+            [0.0] + _real_points(rng, -1.0, 1.0),
+        )
+    ],
+    "s_family": lambda rng: [
+        (
+            corpus_lookup("s_family", alphas=(1.0, -0.5), r=2.0).map,
+            _real_points(rng, -2.0, 2.0),
+        )
+    ],
+    "s_family_fractional": lambda rng: [
+        (
+            corpus_lookup("s_family", alphas=(1.0, 0.5), r=1.5, x_star=0.3).map,
+            [0.3] + _real_points(rng, -0.7, 1.3),
+        )
+    ],
+    "kvb_complex": lambda rng: [
+        (
+            corpus_lookup("kvb_complex").map,
+            _complex_points(rng, 2.0, 1.0) + _real_points(rng, 1.0, 3.0),
+        )
+    ],
+    "kernel_family": _kernel_draws,
+}
+
+_LEAVE_DOMAIN = {"fdil", "power_family_fractional", "s_family_fractional", "kernel_family"}
+
+
+@pytest.mark.parametrize("case", sorted(_VALUE_CASES))
+def test_value_path_matches_jet_value(case):
+    # the map body run on a bare scalar must give exactly the v0 of its
+    # jet evaluation, or raise the same exception class
+    rng = random.Random(f"value-path-{case}")
+    raised = 0
+    for u, pts in _VALUE_CASES[case](rng):
+        for x in pts:
+            want = _outcome(lambda t: u.at(t).v0, x)
+            got = _outcome(u.value, x)
+            assert type(got) is type(want), (u.name, x, got, want)
+            assert repr(got) == repr(want), (u.name, x, got, want)
+            raised += isinstance(want, type)
+    assert (raised > 0) == (case in _LEAVE_DOMAIN)
+
+
 def test_corpus_errors():
     with pytest.raises(CorpusError):
         corpus_lookup("nope")
@@ -145,6 +240,14 @@ def test_corpus_errors():
         corpus_lookup("s_family", alphas=(1.0,) * 5, r=2.0)
     with pytest.raises(CorpusError):
         corpus_lookup("s_family", alphas=(0.0, 0.0), r=2.0)
+    for key in ("alpha", "r", "x_star"):
+        params = {"alpha": 1.0, "r": 3.0, key: (1.0, 2.0)}
+        with pytest.raises(CorpusError):
+            corpus_lookup("power_family", **params)
+    with pytest.raises(CorpusError):
+        corpus_lookup("s_family", alphas=(1.0,), r=(2.0, 3.0))
+    with pytest.raises(CorpusError):
+        corpus_lookup("logistic", a=(1.0, 2.0))
     with pytest.raises(CorpusError):
         kernel_family_map(0.0, 2.0, 0.0)
     with pytest.raises(CorpusError):
