@@ -16,7 +16,7 @@ tr = iterate(lambda x: phi_step(x, u.at(x)), args.x0, args.steps)
 
 print(f"start {args.x0}, map {u.name}")
 for p in tr.points:
-    print(f"  {p.index:>2}  {p.value:>24.17g}  {p.status}")
+    print(f"  {p.index:>2}  {p.value:>24.17g}  {p.status.value}")
 print(f"stopped: {tr.stop_reason.value}")
 
 # plain comparison at the same budget

@@ -5,19 +5,18 @@ step turns it linear, the second makes it superlinear.
 """
 
 from fpaccel import (
-    StepOutcome,
-    StepStatus,
     corpus_lookup,
     empirical_order,
     first_newton_step,
     iterate,
+    plain_step,
     standard_step,
 )
 
 prob = corpus_lookup("sin")
 u = prob.map
 
-plain = iterate(lambda x: StepOutcome(u.value(x), StepStatus.OK), prob.x0, 12, x_star=0.0)
+plain = iterate(lambda x: plain_step(x, u), prob.x0, 12, x_star=0.0)
 first = iterate(lambda x: first_newton_step(x, u.at(x))[0], prob.x0, 12, x_star=0.0)
 # 4 steps reach roundoff; more would just repeat the converged value
 second = iterate(lambda x: standard_step(x, u.at(x)), prob.x0, 4, x_star=0.0)

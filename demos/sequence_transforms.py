@@ -5,19 +5,18 @@ and wins by orders of magnitude on the same data.
 """
 
 from fpaccel import (
-    StepOutcome,
-    StepStatus,
     aitken_delta2,
     corpus_lookup,
     iterate,
     iterated_aitken,
+    plain_step,
     sequence_view,
     theta2,
     w_transform,
 )
 
 u = corpus_lookup("sin").map
-tr = iterate(lambda x: StepOutcome(u.value(x), StepStatus.OK), 3.0, 12)
+tr = iterate(lambda x: plain_step(x, u), 3.0, 12)
 seq = sequence_view(tr.values(), "plain sine iterates")
 
 once = aitken_delta2(seq)

@@ -11,21 +11,21 @@ transforms (:mod:`fpaccel.transforms`), an iteration driver
 from .accelerators import (
     DEFAULT_TOL,
     QuadratureError,
+    Status,
     StepOutcome,
-    StepStatus,
     adaptive_simpson,
     combined_map_value,
     compose_step,
     first_newton_step,
     integral_step,
     phi_step,
+    plain_step,
     standard_step,
     steffensen_step,
 )
 from .engine import (
     IterationTrace,
     OrderReport,
-    StopReason,
     TracePoint,
     empirical_order,
     iterate,
@@ -86,9 +86,8 @@ __all__ = [
     "Scalar",
     "SequenceView",
     "SingularJetError",
+    "Status",
     "StepOutcome",
-    "StepStatus",
-    "StopReason",
     "TracePoint",
     "UNKNOWN",
     "adaptive_simpson",
@@ -109,6 +108,7 @@ __all__ = [
     "kernel_family_map",
     "lift",
     "phi_step",
+    "plain_step",
     "sequence_view",
     "standard_step",
     "steffensen_step",

@@ -17,10 +17,12 @@ second-order jet of u at x is all that is needed.
 
 Each step function returns a :class:`StepOutcome` instead of raising:
 the input already being a fixed point (within ``tol``), a vanishing
-denominator and a non-finite evaluation are reported as statuses.  The
-converged check always runs first; at an exact fixed point the
-denominators are 0/0 and some maps have non-finite second derivatives
-there, so the order of the guards is load-bearing.
+denominator and a non-finite evaluation are reported as a
+:class:`Status`, the one vocabulary the steps, the iteration driver and
+the sequence transforms share.  The converged check always runs first;
+at an exact fixed point the denominators are 0/0 and some maps have
+non-finite second derivatives there, so the order of the guards is
+load-bearing.
 """
 
 from __future__ import annotations
@@ -41,22 +43,32 @@ __all__ = [
     "SINGULAR_EPS",
     "QUAD_TOL",
     "QuadratureError",
+    "Status",
     "StepOutcome",
-    "StepStatus",
     "adaptive_simpson",
     "combined_map_value",
     "compose_step",
     "first_newton_step",
     "integral_step",
     "phi_step",
+    "plain_step",
     "standard_step",
     "steffensen_step",
 ]
 
 
-class StepStatus(str, Enum):
+class Status(str, Enum):
+    """How a step, an iteration run or a sequence transform went.
+
+    A step reports OK, CONVERGED (its input is already fixed), SINGULAR or
+    NONFINITE; a run can also end DIVERGED or MAX_ITER.  Text output uses
+    ``member.value``, since ``str(member)`` differs across Python versions.
+    """
+
     OK = "ok"
-    CONVERGED_AT_INPUT = "converged_at_input"
+    CONVERGED = "converged"
+    DIVERGED = "diverged"
+    MAX_ITER = "max_iter"
     SINGULAR = "singular"
     NONFINITE = "nonfinite"
 
@@ -65,17 +77,17 @@ class StepStatus(str, Enum):
 class StepOutcome:
     """Value of one accelerated step plus how the evaluation went.
 
-    ``value`` is the proposed next iterate for status ``ok``, the input
-    point for ``converged_at_input`` and ``singular``, and a non-finite
-    scalar for ``nonfinite``.
+    ``value`` is the proposed next iterate for status ``OK``, the input
+    point for ``CONVERGED`` and ``SINGULAR``, and a non-finite scalar for
+    ``NONFINITE``.
     """
 
     value: Scalar
-    status: StepStatus
+    status: Status
 
     @property
     def ok(self) -> bool:
-        return self.status is StepStatus.OK
+        return self.status is Status.OK
 
 
 StepFunction = Callable[[Scalar], StepOutcome]
@@ -101,6 +113,12 @@ def _singular(den: Scalar, x: Scalar) -> bool:
 # ---------- Newton-style steps ----------
 
 
+def plain_step(x: Scalar, u) -> StepOutcome:
+    """One application of the map, u(x): the crawl the other steps beat."""
+    val = u.value(x)
+    return StepOutcome(val, Status.OK if is_finite(val) else Status.NONFINITE)
+
+
 def combined_map_value(u_val: Scalar, v_val: Scalar, v_slope: Scalar, x: Scalar) -> StepOutcome:
     """Combined step (v - u * v') / (1 - v') for two maps agreeing at the target.
 
@@ -110,14 +128,14 @@ def combined_map_value(u_val: Scalar, v_val: Scalar, v_slope: Scalar, x: Scalar)
     and phi steps.
     """
     if not (is_finite(u_val) and is_finite(v_val) and is_finite(v_slope)):
-        return StepOutcome(_nan_like(x), StepStatus.NONFINITE)
+        return StepOutcome(_nan_like(x), Status.NONFINITE)
     den = 1.0 - v_slope
     if _singular(den, x):
-        return StepOutcome(x, StepStatus.SINGULAR)
+        return StepOutcome(x, Status.SINGULAR)
     val = (v_val - u_val * v_slope) / den
     if not is_finite(val):
-        return StepOutcome(val, StepStatus.NONFINITE)
-    return StepOutcome(val, StepStatus.OK)
+        return StepOutcome(val, Status.NONFINITE)
+    return StepOutcome(val, Status.OK)
 
 
 def first_newton_step(
@@ -133,20 +151,20 @@ def first_newton_step(
     u0, u1, u2 = u_jet.v0, u_jet.v1, u_jet.v2
     zero = x * 0
     if not is_finite(u0):
-        return StepOutcome(u0, StepStatus.NONFINITE), zero
+        return StepOutcome(u0, Status.NONFINITE), zero
     if _converged(x, u0, tol):
-        return StepOutcome(x, StepStatus.CONVERGED_AT_INPUT), zero
+        return StepOutcome(x, Status.CONVERGED), zero
     if not (is_finite(u1) and is_finite(u2)):
-        return StepOutcome(_nan_like(x), StepStatus.NONFINITE), zero
+        return StepOutcome(_nan_like(x), Status.NONFINITE), zero
     den = 1.0 - u1
     if _singular(den, x):
-        return StepOutcome(x, StepStatus.SINGULAR), zero
+        return StepOutcome(x, Status.SINGULAR), zero
     diff = u0 - x
     val = x + diff / den
     slope = u2 * diff / (den * den)
     if not (is_finite(val) and is_finite(slope)):
-        return StepOutcome(_nan_like(x), StepStatus.NONFINITE), zero
-    return StepOutcome(val, StepStatus.OK), slope
+        return StepOutcome(_nan_like(x), Status.NONFINITE), zero
+    return StepOutcome(val, Status.OK), slope
 
 
 def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutcome:
@@ -169,7 +187,7 @@ def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
     """
     u0, u1, u2 = u_jet.v0, u_jet.v1, u_jet.v2
     if not (is_finite(u0) and is_finite(u1) and is_finite(u2)):
-        return StepOutcome(_nan_like(x), StepStatus.NONFINITE)
+        return StepOutcome(_nan_like(x), Status.NONFINITE)
     phi0 = u0 - u1 + 1.0
     phi1 = u1 - u2
     return combined_map_value(x, phi0, phi1, x)
@@ -186,20 +204,20 @@ def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:
     value_of = u.value if hasattr(u, "value") else u
     u1 = value_of(x)
     if not is_finite(u1):
-        return StepOutcome(u1, StepStatus.NONFINITE)
+        return StepOutcome(u1, Status.NONFINITE)
     if _converged(x, u1, tol):
-        return StepOutcome(x, StepStatus.CONVERGED_AT_INPUT)
+        return StepOutcome(x, Status.CONVERGED)
     u2 = value_of(u1)
     if not is_finite(u2):
-        return StepOutcome(u2, StepStatus.NONFINITE)
+        return StepOutcome(u2, Status.NONFINITE)
     den = x - 2.0 * u1 + u2
     if _singular(den, x):
-        return StepOutcome(x, StepStatus.SINGULAR)
+        return StepOutcome(x, Status.SINGULAR)
     diff = u1 - x
     val = x - diff * diff / den
     if not is_finite(val):
-        return StepOutcome(val, StepStatus.NONFINITE)
-    return StepOutcome(val, StepStatus.OK)
+        return StepOutcome(val, Status.NONFINITE)
+    return StepOutcome(val, Status.OK)
 
 
 def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
@@ -207,7 +225,7 @@ def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     current = x
-    out = StepOutcome(x, StepStatus.OK)
+    out = StepOutcome(x, Status.OK)
     for _ in range(k):
         out = step(current)
         if not out.ok:
@@ -274,10 +292,10 @@ def integral_step(x: Scalar, g, depth: int, tol: float = QUAD_TOL) -> StepOutcom
         raise ValueError("depth must be 1, 2 or 3")
     value_of = g.value if hasattr(g, "value") else g
     if x == 0.0:
-        return StepOutcome(0.0, StepStatus.OK)
+        return StepOutcome(0.0, Status.OK)
     x = float(x)
     fn = value_of if depth == 1 else lambda t: (x - t) ** (depth - 1) * value_of(t)
     val = adaptive_simpson(fn, 0.0, x, tol) / math.factorial(depth - 1)
     if not is_finite(val):
-        return StepOutcome(val, StepStatus.NONFINITE)
-    return StepOutcome(val, StepStatus.OK)
+        return StepOutcome(val, Status.NONFINITE)
+    return StepOutcome(val, Status.OK)

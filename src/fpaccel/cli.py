@@ -6,9 +6,10 @@ Examples::
     fpaccel --problem kvb_complex --method standard --format json
     fpaccel --suite table1 --suite table2 --suite table3
 
-Iterative methods: plain, first_newton, standard, phi, steffensen,
-integral:J (J in 1..3), compose:METHOD:K.  Sequence transforms applied
-to the plain iterates: aitken, theta2, iterated_aitken:D, w_transform.
+Methods are the entries of :data:`METHODS`.  Iterative methods: plain,
+first_newton, standard, phi, steffensen, integral:J (J in 1..3),
+compose:METHOD:K.  Sequence transforms applied to the plain iterates:
+aitken, theta2, w_transform, iterated_aitken:D.
 """
 
 from __future__ import annotations
@@ -17,54 +18,95 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import chain, repeat
+from typing import Callable, NamedTuple, Optional
 
 from .accelerators import (
     DEFAULT_TOL,
     QuadratureError,
-    StepOutcome,
-    StepStatus,
+    Status,
     compose_step,
     first_newton_step,
     integral_step,
     phi_step,
+    plain_step,
     standard_step,
     steffensen_step,
 )
-from .engine import IterationTrace, iterate
-from .jets import Scalar, is_finite
+from .engine import iterate
+from .jets import Scalar
 from .maps import ProblemSpec, corpus_lookup, corpus_names
 from .transforms import aitken_delta2, iterated_aitken, sequence_view, theta2, w_transform
 
-SIMPLE_STEPS = ("plain", "first_newton", "standard", "phi", "steffensen")
-TRANSFORM_OFFSETS = {"aitken": 1, "theta2": 2, "w_transform": 1}
-
-__all__ = ["main", "run_experiment", "run_suite", "render"]
+__all__ = ["METHODS", "main", "run_experiment", "run_suite", "render"]
 
 
 class UsageError(ValueError):
     pass
 
 
-def _make_simple_step(u, name: str, tol: float) -> Callable[[Scalar], StepOutcome]:
-    if name == "plain":
+def _int_arg(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
-        def step(x):
-            val = u.value(x)
-            if not is_finite(val):
-                return StepOutcome(val, StepStatus.NONFINITE)
-            return StepOutcome(val, StepStatus.OK)
 
-        return step
-    if name == "first_newton":
-        return lambda x: first_newton_step(x, u.at(x), tol)[0]
-    if name == "standard":
-        return lambda x: standard_step(x, u.at(x), tol)
-    if name == "phi":
-        return lambda x: phi_step(x, u.at(x))
-    if name == "steffensen":
-        return lambda x: steffensen_step(x, u, tol)
-    raise UsageError(f"unknown step {name!r}")
+class Method(NamedTuple):
+    """A ``--method`` entry, written NAME:ARG:... with one ARG per name in ``args``.
+
+    A step factory takes ``(u, tol, *args)`` and returns a step function; a
+    transform factory takes ``(plain iterates, u, tol, *args)`` and returns
+    ``(sequence, row offset)``.  Both look library functions up at call time.
+    """
+
+    args: tuple
+    make: Callable
+    transform: bool = False
+
+
+def _integral(u, tol, j):
+    depth = _int_arg(j, "integral depth")
+    return lambda x: integral_step(x, u, depth)
+
+
+def _compose(u, tol, name, k):
+    base = _lookup(name, ())
+    if base.transform:
+        raise UsageError(f"compose needs an iterative method, got {name!r}")
+    step, count = base.make(u, tol), _int_arg(k, "compose count")
+    return lambda x: compose_step(x, step, count)
+
+
+def _iterated_aitken(seq, u, tol, d):
+    depth = _int_arg(d, "aitken depth")
+    return iterated_aitken(seq, depth), depth
+
+
+METHODS = {
+    "plain": Method((), lambda u, tol: lambda x: plain_step(x, u)),
+    "first_newton": Method((), lambda u, tol: lambda x: first_newton_step(x, u.at(x), tol)[0]),
+    "standard": Method((), lambda u, tol: lambda x: standard_step(x, u.at(x), tol)),
+    "phi": Method((), lambda u, tol: lambda x: phi_step(x, u.at(x))),
+    "steffensen": Method((), lambda u, tol: lambda x: steffensen_step(x, u, tol)),
+    "integral": Method(("J",), _integral),
+    "compose": Method(("METHOD", "K"), _compose),
+    "aitken": Method((), lambda s, u, tol: (aitken_delta2(s), 1), True),
+    "theta2": Method((), lambda s, u, tol: (theta2(s), 2), True),
+    "w_transform": Method((), lambda s, u, tol: (w_transform(s, u, tol), 1), True),
+    "iterated_aitken": Method(("D",), _iterated_aitken, True),
+}
+_METHOD_SPECS = ", ".join(":".join((name,) + m.args) for name, m in METHODS.items())
+
+
+def _lookup(name: str, args) -> Method:
+    method = METHODS.get(name)
+    if method is None:
+        raise UsageError(f"unknown method {name!r}; have {_METHOD_SPECS}")
+    if len(args) != len(method.args):
+        spec, form = ":".join([name, *args]), ":".join((name,) + method.args)
+        raise UsageError(f"method {spec!r} has the wrong arguments; it is written {form}")
+    return method
 
 
 @dataclass
@@ -72,7 +114,7 @@ class MethodColumn:
     method: str
     offset: int
     values: tuple
-    statuses: tuple
+    statuses: tuple  # plain strings, the Status values
     stop_reason: str
     pad_to: int = 0  # pad rows up to this count with Indeterminate
 
@@ -82,18 +124,6 @@ class Experiment:
     problem: str
     columns: list
     n_rows: int
-
-
-def _trace_column(method: str, trace: IterationTrace, max_iter: int) -> MethodColumn:
-    pad = max_iter + 1 if trace.stop_reason.value == "nonfinite" else 0
-    return MethodColumn(
-        method,
-        0,
-        trace.values(),
-        tuple(p.status for p in trace.points),
-        trace.stop_reason.value,
-        pad,
-    )
 
 
 def run_experiment(
@@ -107,81 +137,39 @@ def run_experiment(
 
     Divergent traces are allowed to run into non-finite territory (the
     divergence bound is lifted) so a blow-up shows up as padded
-    Indeterminate rows next to the surviving columns.
+    Indeterminate rows next to the surviving columns.  A step method's
+    trace is computed once per experiment; the transforms share the
+    plain one.
     """
     u = prob.map
     start = prob.x0 if x0 is None else x0
-    bound = float("inf")
-    plain_trace: Optional[IterationTrace] = None
+    traces: dict = {}
 
-    def plain() -> IterationTrace:
-        nonlocal plain_trace
-        if plain_trace is None:
-            step = _make_simple_step(u, "plain", tol)
-            plain_trace = iterate(step, start, max_iter, tol, bound)
-        return plain_trace
+    def trace(spec: str, method: Method, args):
+        if spec not in traces:
+            step = method.make(u, tol, *args)
+            traces[spec] = iterate(step, start, max_iter, tol, float("inf"))
+        return traces[spec]
 
     columns = []
     for spec in methods:
-        parts = str(spec).split(":")
-        name = parts[0]
-        if name in SIMPLE_STEPS and len(parts) == 1:
-            if name == "plain":
-                trace = plain()
-            else:
-                step = _make_simple_step(u, name, tol)
-                trace = iterate(step, start, max_iter, tol, bound)
-            columns.append(_trace_column(spec, trace, max_iter))
-        elif name == "integral":
-            if len(parts) != 2:
-                raise UsageError("integral method is written integral:J")
-            depth = _int_arg(parts[1], "integral depth")
-            step = lambda x, d=depth: integral_step(x, u, d)
-            trace = iterate(step, start, max_iter, tol, bound)
-            columns.append(_trace_column(spec, trace, max_iter))
-        elif name == "compose":
-            if len(parts) != 3:
-                raise UsageError("compose method is written compose:METHOD:K")
-            base = _make_simple_step(u, parts[1], tol)
-            k = _int_arg(parts[2], "compose count")
-            step = lambda x, b=base, kk=k: compose_step(x, b, kk)
-            trace = iterate(step, start, max_iter, tol, bound)
-            columns.append(_trace_column(spec, trace, max_iter))
-        elif name in ("aitken", "theta2", "w_transform", "iterated_aitken"):
-            seq = sequence_view(plain().values(), f"plain:{u.name}")
-            if name == "aitken":
-                out, off = aitken_delta2(seq), TRANSFORM_OFFSETS[name]
-            elif name == "theta2":
-                out, off = theta2(seq), TRANSFORM_OFFSETS[name]
-            elif name == "w_transform":
-                out, off = w_transform(seq, u, tol), TRANSFORM_OFFSETS[name]
-            else:
-                if len(parts) != 2:
-                    raise UsageError("iterated aitken is written iterated_aitken:D")
-                depth = _int_arg(parts[1], "aitken depth")
-                out, off = iterated_aitken(seq, depth), depth
-            columns.append(
-                MethodColumn(
-                    spec,
-                    off,
-                    out.items,
-                    ("ok",) * len(out.items),
-                    out.stopped_by or "end_of_input",
-                )
-            )
+        name, *args = str(spec).split(":")
+        method = _lookup(name, args)
+        if method.transform:
+            plain = trace("plain", METHODS["plain"], ())
+            seq = sequence_view(plain.values(), f"plain:{u.name}")
+            out, offset = method.make(seq, u, tol, *args)
+            stop = out.stopped_by.value if out.stopped_by else "end_of_input"
+            statuses = (Status.OK.value,) * len(out)
+            columns.append(MethodColumn(spec, offset, out.items, statuses, stop))
         else:
-            raise UsageError(f"unknown method {spec!r}")
-    n_rows = 0
-    for c in columns:
-        n_rows = max(n_rows, c.offset + len(c.values), c.pad_to)
+            tr = trace(spec, method, args)
+            stop = tr.stop_reason
+            pad = max_iter + 1 if stop is Status.NONFINITE else 0
+            statuses = tuple(p.status.value for p in tr.points)
+            columns.append(MethodColumn(spec, 0, tr.values(), statuses, stop.value, pad))
+    n_rows = max((max(c.offset + len(c.values), c.pad_to) for c in columns), default=0)
     return Experiment(u.name, columns, n_rows)
-
-
-def _int_arg(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
 # ---------- rendering ----------
@@ -199,32 +187,35 @@ def _parts(v: Scalar) -> tuple[float, float]:
     return float(v), 0.0
 
 
+def _rows(c: MethodColumn):
+    """``(n, value, status)`` per row; value None on an Indeterminate pad row."""
+    end = c.offset + len(c.values)
+    return chain(
+        zip(range(c.offset, end), c.values, c.statuses),
+        zip(range(end, c.pad_to), repeat(None), repeat(Status.NONFINITE.value)),
+    )
+
+
 def render_markdown(exp: Experiment) -> str:
+    grid = [[""] * len(exp.columns) for _ in range(exp.n_rows)]
+    for j, c in enumerate(exp.columns):
+        for n, v, _ in _rows(c):
+            grid[n][j] = "Indeterminate" if v is None else _fmt(v)
     head = "| n | " + " | ".join(c.method for c in exp.columns) + " |"
     rule = "|---:|" + "|".join("---" for _ in exp.columns) + "|"
-    lines = [head, rule]
-    for r in range(exp.n_rows):
-        cells = []
-        for c in exp.columns:
-            i = r - c.offset
-            if 0 <= i < len(c.values):
-                cells.append(_fmt(c.values[i]))
-            elif c.pad_to and r < c.pad_to and i >= len(c.values):
-                cells.append("Indeterminate")
-            else:
-                cells.append("")
-        lines.append(f"| {r} | " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+    rows = (f"| {r} | " + " | ".join(cells) + " |" for r, cells in enumerate(grid))
+    return "\n".join(chain((head, rule), rows))
 
 
 def render_csv(exp: Experiment) -> str:
     lines = ["n,method,re,im,status"]
     for c in exp.columns:
-        for i, v in enumerate(c.values):
-            re, im = _parts(v)
-            lines.append(f"{i + c.offset},{c.method},{re!r},{im!r},{c.statuses[i]}")
-        for r in range(c.offset + len(c.values), c.pad_to):
-            lines.append(f"{r},{c.method},,,nonfinite")
+        for n, v, s in _rows(c):
+            if v is None:
+                lines.append(f"{n},{c.method},,,{s}")
+            else:
+                re, im = _parts(v)
+                lines.append(f"{n},{c.method},{re!r},{im!r},{s}")
     return "\n".join(lines)
 
 
@@ -232,11 +223,9 @@ def render_json(exp: Experiment) -> str:
     docs = []
     for c in exp.columns:
         rows = []
-        for i, v in enumerate(c.values):
-            re, im = _parts(v)
-            rows.append({"n": i + c.offset, "re": re, "im": im, "status": str(c.statuses[i])})
-        for r in range(c.offset + len(c.values), c.pad_to):
-            rows.append({"n": r, "re": None, "im": None, "status": "nonfinite"})
+        for n, v, s in _rows(c):
+            re, im = (None, None) if v is None else _parts(v)
+            rows.append({"n": n, "re": re, "im": im, "status": s})
         docs.append(
             {
                 "problem": exp.problem,
@@ -366,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--problem", help=f"one of: {', '.join(corpus_names())}")
     p.add_argument("--param", action="append", default=[], metavar="K=V", help="problem parameter, repeatable")
-    p.add_argument("--method", action="append", default=[], metavar="NAME", help="method column, repeatable (default: plain)")
+    methods = f"method column, repeatable (default: plain); one of: {_METHOD_SPECS}"
+    p.add_argument("--method", action="append", default=[], metavar="NAME", help=methods)
     p.add_argument("--x0", type=float, help="override start point (real part)")
     p.add_argument("--x0-im", type=float, dest="x0_im", help="imaginary part of the start point")
     p.add_argument("--max-iter", type=int, default=20)

@@ -11,35 +11,25 @@ same experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .accelerators import StepOutcome, StepStatus
+from .accelerators import Status, StepOutcome
 from .jets import JetDomainError, Scalar, is_finite
 
 __all__ = [
     "IterationTrace",
     "OrderReport",
-    "StopReason",
     "TracePoint",
     "empirical_order",
     "iterate",
 ]
 
 
-class StopReason(str, Enum):
-    CONVERGED = "converged"
-    MAX_ITER = "max_iter"
-    DIVERGED = "diverged"
-    SINGULAR = "singular"
-    NONFINITE = "nonfinite"
-
-
 @dataclass(frozen=True)
 class TracePoint:
     index: int
     value: Scalar
-    status: str  # "ok", "converged" or "diverged"
+    status: Status  # OK, CONVERGED or DIVERGED
 
 
 @dataclass(frozen=True)
@@ -52,7 +42,7 @@ class IterationTrace:
     """
 
     points: tuple[TracePoint, ...]
-    stop_reason: StopReason
+    stop_reason: Status
     error_sequence: Optional[tuple[float, ...]] = None
 
     def values(self) -> tuple[Scalar, ...]:
@@ -60,16 +50,6 @@ class IterationTrace:
 
     def last(self) -> Scalar:
         return self.points[-1].value
-
-    def records(self) -> list[dict]:
-        out = []
-        for p in self.points:
-            if isinstance(p.value, complex):
-                re, im = p.value.real, p.value.imag
-            else:
-                re, im = float(p.value), 0.0
-            out.append({"n": p.index, "re": re, "im": im, "status": p.status})
-        return out
 
 
 def iterate(
@@ -85,62 +65,53 @@ def iterate(
     Stops on: two consecutive iterates within ``tol*(1+|x|)`` of each
     other (converged), the step reporting the input is already fixed
     (converged), an iterate beyond ``divergence_bound`` in magnitude
-    (diverged, the offending point is recorded), a singular or
-    non-finite step (previous point stays last), or ``max_iter`` steps.
-    Exceptions the steps are known to raise on bad points
-    (OverflowError, ZeroDivisionError, JetDomainError) are mapped to
-    stop reasons as well.
+    (diverged, the offending point is recorded), a non-finite iterate
+    (nonfinite), any other step status but ``OK``, such as ``SINGULAR``,
+    which becomes the stop reason (for these three the previous point
+    stays last), or ``max_iter`` steps.  Exceptions the steps are known
+    to raise on bad points (OverflowError, ZeroDivisionError,
+    JetDomainError) are mapped to stop reasons as well.
     """
     if not is_finite(x0):
         raise ValueError("x0 must be finite")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    points = [TracePoint(0, x0, "ok")]
-    errors: Optional[list[float]] = None
-    if x_star is not None:
-        errors = [abs(x0 - x_star)]
-
-    def record(n: int, val: Scalar, status: str) -> None:
-        points.append(TracePoint(n, val, status))
-        if errors is not None:
-            errors.append(abs(val - x_star))
-
+    # members bound to locals: an attribute lookup per step is measurable
+    OK, CONVERGED, NONFINITE = Status.OK, Status.CONVERGED, Status.NONFINITE
+    points = [TracePoint(0, x0, OK)]
     x = x0
-    reason = StopReason.MAX_ITER
+    reason = Status.MAX_ITER
     for n in range(1, max_iter + 1):
         try:
             out = step(x)
         except OverflowError:
-            reason = StopReason.NONFINITE
+            reason = NONFINITE
             break
         except (ZeroDivisionError, JetDomainError):
             # SingularJetError is a ZeroDivisionError subclass
-            reason = StopReason.SINGULAR
+            reason = Status.SINGULAR
             break
-        if out.status is StepStatus.SINGULAR:
-            reason = StopReason.SINGULAR
+        status, val = out.status, out.value
+        if status is not OK and status is not CONVERGED:
+            reason = status
             break
-        if out.status is StepStatus.NONFINITE or not is_finite(out.value):
-            reason = StopReason.NONFINITE
+        if not is_finite(val):
+            reason = NONFINITE
             break
-        if out.status is StepStatus.CONVERGED_AT_INPUT:
-            record(n, out.value, "converged")
-            reason = StopReason.CONVERGED
-            break
-        val = out.value
-        if abs(val) > divergence_bound:
-            record(n, val, "diverged")
-            reason = StopReason.DIVERGED
-            break
-        if abs(val - x) <= tol * (1.0 + abs(val)):
-            record(n, val, "converged")
-            reason = StopReason.CONVERGED
-            break
-        record(n, val, "ok")
-        x = val
-    return IterationTrace(
-        tuple(points), reason, tuple(errors) if errors is not None else None
-    )
+        if status is CONVERGED:
+            reason = CONVERGED
+        elif abs(val) > divergence_bound:
+            reason = Status.DIVERGED
+        elif abs(val - x) <= tol * (1.0 + abs(val)):
+            reason = CONVERGED
+        else:
+            points.append(TracePoint(n, val, OK))
+            x = val
+            continue
+        points.append(TracePoint(n, val, reason))
+        break
+    errors = None if x_star is None else tuple(abs(p.value - x_star) for p in points)
+    return IterationTrace(tuple(points), reason, errors)
 
 
 @dataclass(frozen=True)
@@ -175,7 +146,7 @@ def empirical_order(
     if isinstance(trace_or_values, IterationTrace):
         values = trace_or_values.values()
         pts = trace_or_values.points
-        if len(pts) >= 2 and pts[-1].status == "converged" and pts[-1].value == pts[-2].value:
+        if len(pts) >= 2 and pts[-1].status is Status.CONVERGED and pts[-1].value == pts[-2].value:
             values = values[:-1]
     else:
         values = tuple(trace_or_values)

@@ -165,8 +165,10 @@ class Jet2:
 def _as_jet(x) -> Jet2 | None:
     if isinstance(x, Jet2):
         return x
-    if isinstance(x, (int, float, complex)) and not isinstance(x, bool):
-        return Jet2(x + 0.0, 0.0, 0.0)
+    if isinstance(x, (float, complex)):
+        return Jet2(x, 0.0, 0.0)  # as is: ``x + 0.0`` turns -0.0 parts into +0.0
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Jet2(float(x), 0.0, 0.0)
     return None
 
 
@@ -186,7 +188,7 @@ def lift(x: Scalar) -> Jet2:
 
 def const(c: Scalar) -> Jet2:
     """Seed a constant jet: value c, slope 0, curvature 0."""
-    return Jet2(c + 0.0, 0.0, 0.0)
+    return Jet2(float(c) if isinstance(c, int) else c, 0.0, 0.0)
 
 
 # ---------- elementary functions ----------

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .accelerators import DEFAULT_TOL, SINGULAR_EPS, StepStatus, standard_step
-from .jets import Scalar, is_finite
+from .accelerators import DEFAULT_TOL, SINGULAR_EPS, Status, standard_step
+from .jets import JetDomainError, Scalar, is_finite
 
 __all__ = [
     "SequenceView",
@@ -31,12 +31,12 @@ class SequenceView:
     """Immutable scalar sequence with provenance and an end marker.
 
     ``stopped_by`` is None when the sequence simply ended, otherwise the
-    reason output stopped early ("singular" or "nonfinite").
+    reason output stopped early (``Status.SINGULAR`` or ``Status.NONFINITE``).
     """
 
     items: tuple[Scalar, ...]
     provenance: str = ""
-    stopped_by: Optional[str] = None
+    stopped_by: Optional[Status] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -46,7 +46,7 @@ class SequenceView:
 
 
 def sequence_view(
-    items: Iterable[Scalar], provenance: str = "", stopped_by: Optional[str] = None
+    items: Iterable[Scalar], provenance: str = "", stopped_by: Optional[Status] = None
 ) -> SequenceView:
     """Wrap an iterable, truncating at the first non-finite entry."""
     if isinstance(items, SequenceView):
@@ -55,7 +55,7 @@ def sequence_view(
     stop = stopped_by
     for x in items:
         if not is_finite(x):
-            stop = "nonfinite"
+            stop = Status.NONFINITE
             break
         out.append(x)
     return SequenceView(tuple(out), provenance, stop)
@@ -80,7 +80,7 @@ def aitken_delta2(seq) -> SequenceView:
         d1 = s[n + 1] - s[n]
         d2 = s[n + 2] - 2.0 * s[n + 1] + s[n]
         if _tiny(d2, s[n]):
-            stop = "singular"
+            stop = Status.SINGULAR
             break
         out.append(s[n] - d1 * d1 / d2)
     return SequenceView(tuple(out), f"aitken({s.provenance})", stop or s.stopped_by)
@@ -105,14 +105,14 @@ def theta2(seq) -> SequenceView:
     for n in range(len(s) - 1):
         d = s[n + 1] - s[n]
         if _tiny(d, s[n]):
-            stop = "singular"
+            stop = Status.SINGULAR
             break
         t.append(1.0 / d)
     out = []
     for n in range(max(0, min(len(s) - 3, len(t) - 2))):
         den = t[n + 2] - 2.0 * t[n + 1] + t[n]
         if _tiny(den, t[n + 1]):
-            stop = "singular"
+            stop = Status.SINGULAR
             break
         out.append(s[n + 1] + (s[n + 2] - s[n + 1]) * (t[n + 2] - t[n + 1]) / den)
     return SequenceView(tuple(out), f"theta2({s.provenance})", stop or s.stopped_by)
@@ -136,7 +136,9 @@ def w_transform(seq, u, tol: float = DEFAULT_TOL) -> SequenceView:
     """Map each iterate through the superlinear standard step of ``u``.
 
     out[n] = w(s[n]); output keeps the input length unless a step comes
-    back singular or non-finite, which truncates the output there.
+    back singular or non-finite, which truncates the output there.  The
+    exceptions :func:`fpaccel.engine.iterate` maps to a stop reason end
+    the output the same way.
     """
     s = sequence_view(seq)
     out = []
@@ -145,10 +147,13 @@ def w_transform(seq, u, tol: float = DEFAULT_TOL) -> SequenceView:
         try:
             res = standard_step(x, u.at(x), tol)
         except OverflowError:
-            stop = "nonfinite"
+            stop = Status.NONFINITE
             break
-        if res.status in (StepStatus.SINGULAR, StepStatus.NONFINITE):
-            stop = res.status.value
+        except (ZeroDivisionError, JetDomainError):
+            stop = Status.SINGULAR
+            break
+        if res.status in (Status.SINGULAR, Status.NONFINITE):
+            stop = res.status
             break
         out.append(res.value)
     return SequenceView(tuple(out), f"w({s.provenance})", stop or s.stopped_by)

@@ -4,13 +4,14 @@ import pytest
 
 from fpaccel.accelerators import (
     QuadratureError,
-    StepStatus,
+    Status,
     adaptive_simpson,
     combined_map_value,
     compose_step,
     first_newton_step,
     integral_step,
     phi_step,
+    plain_step,
     standard_step,
     steffensen_step,
 )
@@ -25,7 +26,7 @@ BUMP = IterationMap("bump", lambda x: x + 1.0 + x * x)
 
 def test_first_newton_matches_closed_form_at_start():
     out, slope = first_newton_step(3.0, SIN.at(3.0))
-    assert out.status is StepStatus.OK
+    assert out.status is Status.OK
     expected = 3.0 + (math.sin(3.0) - 3.0) / (1.0 - math.cos(3.0))
     assert abs(out.value - expected) <= 1e-15 * abs(expected)
     exp_slope = -math.sin(3.0) * (math.sin(3.0) - 3.0) / (1.0 - math.cos(3.0)) ** 2
@@ -60,10 +61,10 @@ def test_standard_step_closed_form():
 
 def test_converged_at_input_guard():
     out, slope = first_newton_step(0.0, SIN.at(0.0))
-    assert out.status is StepStatus.CONVERGED_AT_INPUT
+    assert out.status is Status.CONVERGED
     assert out.value == 0.0
     assert slope == 0.0
-    assert standard_step(0.0, SIN.at(0.0)).status is StepStatus.CONVERGED_AT_INPUT
+    assert standard_step(0.0, SIN.at(0.0)).status is Status.CONVERGED
 
 
 def test_converged_guard_shields_infinite_curvature():
@@ -73,23 +74,23 @@ def test_converged_guard_shields_infinite_curvature():
     j = fd.at(1.0)
     assert not is_finite(j.v2)
     out, _ = first_newton_step(1.0, j)
-    assert out.status is StepStatus.CONVERGED_AT_INPUT
+    assert out.status is Status.CONVERGED
     assert out.value == 1.0
 
 
 def test_singular_guard():
     out, _ = first_newton_step(0.0, BUMP.at(0.0))
-    assert out.status is StepStatus.SINGULAR
+    assert out.status is Status.SINGULAR
     assert out.value == 0.0
-    assert standard_step(0.0, BUMP.at(0.0)).status is StepStatus.SINGULAR
+    assert standard_step(0.0, BUMP.at(0.0)).status is Status.SINGULAR
 
 
 def test_nonfinite_propagates_nonfinite_value():
     out, _ = first_newton_step(1.0, Jet2(float("inf"), 1.0, 0.0))
-    assert out.status is StepStatus.NONFINITE
+    assert out.status is Status.NONFINITE
     assert not is_finite(out.value)
     out2, _ = first_newton_step(1.0, Jet2(5.0, float("nan"), 0.0))
-    assert out2.status is StepStatus.NONFINITE
+    assert out2.status is Status.NONFINITE
     assert not is_finite(out2.value)
 
 
@@ -97,9 +98,9 @@ def test_combined_map_value():
     out = combined_map_value(0.3, 0.5, 0.25, 0.3)
     assert out.ok
     assert abs(out.value - (0.5 - 0.3 * 0.25) / 0.75) < 1e-16
-    assert combined_map_value(0.3, 0.5, 1.0, 0.3).status is StepStatus.SINGULAR
+    assert combined_map_value(0.3, 0.5, 1.0, 0.3).status is Status.SINGULAR
     bad = combined_map_value(0.3, float("nan"), 0.25, 0.3)
-    assert bad.status is StepStatus.NONFINITE
+    assert bad.status is Status.NONFINITE
     assert not is_finite(bad.value)
 
 
@@ -132,7 +133,7 @@ def test_steffensen_quadratic_on_hyperbolic_map():
     x = 0.4
     for _ in range(4):
         res = steffensen_step(x, log2)
-        if res.status is StepStatus.CONVERGED_AT_INPUT:
+        if res.status is Status.CONVERGED:
             break
         assert res.ok
         x = res.value
@@ -141,12 +142,12 @@ def test_steffensen_quadratic_on_hyperbolic_map():
 
 def test_steffensen_guards():
     log2 = corpus_lookup("logistic", a=2.0).map
-    assert steffensen_step(0.5, log2).status is StepStatus.CONVERGED_AT_INPUT
+    assert steffensen_step(0.5, log2).status is Status.CONVERGED
     # u(x) = x^2 at the golden-ratio conjugate: x - 2u + u(u) = 0 exactly
     square = IterationMap("square", lambda x: x * x)
     x = (math.sqrt(5.0) - 1.0) / 2.0
     out = steffensen_step(x, square)
-    assert out.status is StepStatus.SINGULAR
+    assert out.status is Status.SINGULAR
     assert out.value == x
 
 
@@ -173,10 +174,17 @@ def test_compose_step():
         compose_step(3.0, step, 1.5)
 
 
+def test_plain_step():
+    out = plain_step(3.0, SIN)
+    assert out.status is Status.OK and out.value == math.sin(3.0)
+    blowup = plain_step(1e200, IterationMap("square", lambda x: x * x))
+    assert blowup.status is Status.NONFINITE and not is_finite(blowup.value)
+
+
 def test_compose_short_circuits_on_bad_status():
     step = lambda x: standard_step(x, BUMP.at(x))
     out = compose_step(0.0, step, 3)
-    assert out.status is StepStatus.SINGULAR
+    assert out.status is Status.SINGULAR
 
 
 def test_adaptive_simpson_basics():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from fpaccel import Status
 from fpaccel.cli import (
-    TRANSFORM_OFFSETS,
+    METHODS,
     UsageError,
     _parse_params,
     main,
@@ -81,6 +82,7 @@ def test_json_nulls_and_precision(capsys):
     docs = json.loads(out)
     assert [d["method"] for d in docs] == ["plain", "standard"]
     plain, std = docs
+    assert list(plain["rows"][0]) == ["n", "re", "im", "status"]
     assert plain["stop_reason"] == "nonfinite"
     assert plain["rows"][4]["re"] is None and plain["rows"][4]["im"] is None
     assert plain["rows"][4]["status"] == "nonfinite"
@@ -104,7 +106,6 @@ def test_iterated_aitken_rows_start_at_depth(capsys):
 
 
 def test_transform_column_offsets():
-    assert TRANSFORM_OFFSETS == {"aitken": 1, "theta2": 2, "w_transform": 1}
     prob = corpus_lookup("sin")
     exp = run_experiment(
         prob, ["aitken", "theta2", "w_transform", "iterated_aitken:3"], None, 8
@@ -194,6 +195,12 @@ def test_unknown_suite(capsys):
         ["--problem", "logistic", "--param", "a=1,2"],
         ["--problem", "power_family", "--param", "alpha=1,2", "--param", "r=3"],
         ["--problem", "sin", "--method", "integral:2", "--x0", "1e300"],
+        ["--problem", "sin", "--method", "aitken:3"],
+        ["--problem", "sin", "--method", "theta2:x"],
+        ["--problem", "sin", "--method", "w_transform:9"],
+        ["--problem", "sin", "--method", "plain:1"],
+        ["--problem", "sin", "--method", "compose:aitken:2"],
+        ["--problem", "sin", "--method", "iterated_aitken"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -201,6 +208,56 @@ def test_usage_errors_exit_2(capsys, argv):
     assert rc == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def _spec(name):
+    # one valid value for each of the method's argument slots
+    fill = {"J": "1", "METHOD": "standard", "K": "2", "D": "1"}
+    return ":".join([name] + [fill[a] for a in METHODS[name].args])
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_every_method_runs_on_sin(name):
+    spec = _spec(name)
+    exp = run_experiment(corpus_lookup("sin"), [spec], 3.0, 6)
+    (col,) = exp.columns
+    assert col.method == spec
+    assert len(col.values) >= 3
+    if METHODS[name].transform:
+        assert col.offset >= 1
+    else:
+        assert col.offset == 0 and col.values[0] == 3.0
+    assert all(abs(v) < 3.0 for v in col.values[1:])
+    for fmt in ("markdown", "csv", "json"):
+        assert render(exp, fmt)
+    with pytest.raises(UsageError):
+        run_experiment(corpus_lookup("sin"), [spec + ":9"], 3.0, 6)
+
+
+_STATUS_TEXT = {s.value for s in Status} | {"end_of_input"}
+
+
+def test_status_cells_are_plain_values():
+    # str() and format() of an Enum member differ across Python versions;
+    # every rendered status must be the member's value
+    exp = run_experiment(corpus_lookup("kvb_complex"), ["plain", "standard", "aitken"], None, 8)
+    lines = render(exp, "csv").splitlines()[1:]
+    assert {line.rsplit(",", 1)[1] for line in lines} <= _STATUS_TEXT
+    for doc in json.loads(render(exp, "json")):
+        assert doc["stop_reason"] in _STATUS_TEXT
+        assert {row["status"] for row in doc["rows"]} <= _STATUS_TEXT
+    assert [c.stop_reason for c in exp.columns] == ["nonfinite", "converged", "end_of_input"]
+    assert all(type(s) is str for c in exp.columns for s in c.statuses)
+
+
+@pytest.mark.parametrize("x0", ["0.5", "0.9"])
+def test_w_transform_domain_error_is_a_stop_reason(capsys, x0):
+    rc, out, err = _run(
+        capsys, ["--problem", "fdil", "--x0", x0, "--method", "w_transform", "--format", "json"]
+    )
+    assert rc == 0, err
+    (doc,) = json.loads(out)
+    assert doc["stop_reason"] == "singular"
 
 
 def test_param_parsing():

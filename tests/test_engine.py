@@ -3,12 +3,12 @@ import math
 import pytest
 
 from fpaccel.accelerators import (
-    StepOutcome,
-    StepStatus,
+    Status,
     first_newton_step,
+    plain_step,
     standard_step,
 )
-from fpaccel.engine import StopReason, empirical_order, iterate
+from fpaccel.engine import empirical_order, iterate
 from fpaccel.maps import IterationMap, corpus_lookup
 
 SIN = corpus_lookup("sin").map
@@ -17,10 +17,7 @@ KVB = corpus_lookup("kvb_complex")
 
 
 def _plain(u):
-    def step(x):
-        return StepOutcome(u.value(x), StepStatus.OK)
-
-    return step
+    return lambda x: plain_step(x, u)
 
 
 def _newton(u):
@@ -33,17 +30,17 @@ def _standard(u):
 
 def test_plain_sine_hits_max_iter():
     tr = iterate(_plain(SIN), 3.0, 20)
-    assert tr.stop_reason is StopReason.MAX_ITER
+    assert tr.stop_reason is Status.MAX_ITER
     assert len(tr.points) == 21
     assert tr.points[0].value == 3.0
-    assert all(p.status == "ok" for p in tr.points)
+    assert all(p.status is Status.OK for p in tr.points)
     rep = empirical_order(tr, 0.0)
     assert rep.verdict == "logarithmic"
 
 
 def test_newton_step_turns_sine_linear():
     tr = iterate(_newton(SIN), 3.0, 25, x_star=0.0)
-    assert tr.stop_reason is StopReason.MAX_ITER
+    assert tr.stop_reason is Status.MAX_ITER
     rep = empirical_order(tr, 0.0)
     assert rep.verdict == "linear"
     # slope at the triple-contact fixed point is 1 - 1/3
@@ -54,7 +51,7 @@ def test_newton_step_rate_logistic():
     # stop before the 1e-13 residual guard appends a duplicate point,
     # whose unit error ratio would read as logarithmic
     tr = iterate(_newton(LOG1), 0.5, 18)
-    assert tr.stop_reason is StopReason.MAX_ITER
+    assert tr.stop_reason is Status.MAX_ITER
     rep = empirical_order(tr, 0.0)
     assert rep.verdict == "linear"
     assert rep.rate == 0.5
@@ -62,8 +59,8 @@ def test_newton_step_rate_logistic():
 
 def test_standard_step_superlinear_and_converges():
     tr = iterate(_standard(SIN), 3.0, 10, x_star=0.0)
-    assert tr.stop_reason is StopReason.CONVERGED
-    assert tr.points[-1].status == "converged"
+    assert tr.stop_reason is Status.CONVERGED
+    assert tr.points[-1].status is Status.CONVERGED
     assert abs(tr.last()) < 1e-11
     assert tr.error_sequence is not None
     assert len(tr.error_sequence) == len(tr.points)
@@ -79,15 +76,15 @@ def test_converged_trace_ends_with_tight_pair():
 
 def test_divergence_default_bound():
     tr = iterate(_plain(KVB.map), KVB.x0, 5)
-    assert tr.stop_reason is StopReason.DIVERGED
+    assert tr.stop_reason is Status.DIVERGED
     assert len(tr.points) == 4
-    assert tr.points[-1].status == "diverged"
+    assert tr.points[-1].status is Status.DIVERGED
     assert abs(tr.last()) > 1e30
 
 
 def test_divergence_bound_lifted_runs_to_overflow():
     tr = iterate(_plain(KVB.map), KVB.x0, 5, divergence_bound=float("inf"))
-    assert tr.stop_reason is StopReason.NONFINITE
+    assert tr.stop_reason is Status.NONFINITE
     assert len(tr.points) == 4
     assert all(abs(p.value) < float("inf") for p in tr.points)
 
@@ -95,7 +92,7 @@ def test_divergence_bound_lifted_runs_to_overflow():
 def test_singular_stop_keeps_previous_point():
     bump = IterationMap("bump", lambda x: x + 1.0 + x * x)
     tr = iterate(_standard(bump), 0.0, 5)
-    assert tr.stop_reason is StopReason.SINGULAR
+    assert tr.stop_reason is Status.SINGULAR
     assert len(tr.points) == 1
     assert tr.last() == 0.0
 
@@ -104,26 +101,15 @@ def test_domain_error_maps_to_singular():
     fd = corpus_lookup("fdil").map
     # real path of (x-1)^1.5 fails below 1
     tr = iterate(_plain(fd), 0.2, 5)
-    assert tr.stop_reason is StopReason.SINGULAR
+    assert tr.stop_reason is Status.SINGULAR
     assert len(tr.points) == 1
 
 
 def test_zero_division_maps_to_singular():
     recip = IterationMap("recip", lambda x: 1.0 / x - 1.0)
     tr = iterate(_plain(recip), 1.0, 10)
-    assert tr.stop_reason is StopReason.SINGULAR
+    assert tr.stop_reason is Status.SINGULAR
     assert tr.last() == 0.0
-
-
-def test_records_shape():
-    tr = iterate(_plain(KVB.map), KVB.x0, 2, divergence_bound=float("inf"))
-    recs = tr.records()
-    assert [r["n"] for r in recs] == [0, 1, 2]
-    assert set(recs[0]) == {"n", "re", "im", "status"}
-    assert recs[0]["re"] == 1.9
-    assert recs[0]["im"] == 0.1
-    tr2 = iterate(_plain(SIN), 3.0, 1)
-    assert tr2.records()[1]["im"] == 0.0
 
 
 def test_iterate_validation():
@@ -133,14 +119,14 @@ def test_iterate_validation():
         iterate(_plain(SIN), 3.0, -1)
     tr = iterate(_plain(SIN), 3.0, 0)
     assert len(tr.points) == 1
-    assert tr.stop_reason is StopReason.MAX_ITER
+    assert tr.stop_reason is Status.MAX_ITER
 
 
 def test_converged_at_input_recorded_once():
     tr = iterate(_standard(SIN), 1e-20, 5)
-    assert tr.stop_reason is StopReason.CONVERGED
+    assert tr.stop_reason is Status.CONVERGED
     assert len(tr.points) == 2
-    assert tr.points[1].status == "converged"
+    assert tr.points[1].status is Status.CONVERGED
     assert tr.points[1].value == tr.points[0].value
 
 

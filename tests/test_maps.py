@@ -204,6 +204,10 @@ _VALUE_CASES = {
         )
     ],
     "kernel_family": _kernel_draws,
+    # a -0.0 imaginary part puts x_star on the branch cut of the power
+    "kernel_family_branch_cut": lambda rng: [
+        (kernel_family_map(1.0, 1.5, complex(-1.0, -0.0)), [0.5] + _real_points(rng, -3.0, 1.0))
+    ],
 }
 
 _LEAVE_DOMAIN = {"fdil", "power_family_fractional", "s_family_fractional", "kernel_family"}

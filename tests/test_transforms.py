@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fpaccel.accelerators import Status
 from fpaccel.maps import IterationMap, corpus_lookup
 from fpaccel.transforms import (
     SequenceView,
@@ -85,7 +86,15 @@ def test_theta2_exact_on_geometric_sequences():
 def test_constant_sequence_is_singular():
     out = aitken_delta2([0.5, 0.5, 0.5, 0.5])
     assert out.items == ()
-    assert out.stopped_by == "singular"
+    assert out.stopped_by is Status.SINGULAR
+
+
+def test_w_transform_domain_error_truncates():
+    # fdil's fractional power leaves the real domain left of 1: the jet
+    # raises JetDomainError, which ends the output like a singular step
+    out = w_transform([0.5], corpus_lookup("fdil").map)
+    assert out.items == ()
+    assert out.stopped_by is Status.SINGULAR
     out2 = theta2([0.5, 0.5, 0.5, 0.5])
     assert out2.items == ()
     assert out2.stopped_by == "singular"
@@ -136,7 +145,15 @@ def test_w_transform_truncates_on_singular():
     bump = IterationMap("bump", lambda x: x + 1.0 + x * x)
     out = w_transform([0.0, 1.0], bump)
     assert out.items == ()
-    assert out.stopped_by == "singular"
+    assert out.stopped_by is Status.SINGULAR
+
+
+def test_w_transform_domain_error_truncates():
+    # fdil's fractional power leaves the real domain left of 1: the jet
+    # raises JetDomainError, which ends the output like a singular step
+    out = w_transform([0.5], corpus_lookup("fdil").map)
+    assert out.items == ()
+    assert out.stopped_by is Status.SINGULAR
 
 
 def test_provenance_composes():
