@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .jets import Jet2, Scalar, is_finite
+from .jets import Jet2, JetDomainError, Scalar, is_finite
 
 DEFAULT_TOL = 1e-13
 SINGULAR_EPS = 1e-12
@@ -43,11 +43,13 @@ __all__ = [
     "SINGULAR_EPS",
     "QUAD_TOL",
     "QuadratureError",
+    "STEP_ERRORS",
     "Status",
     "StepOutcome",
     "adaptive_simpson",
     "combined_map_value",
     "compose_step",
+    "error_status",
     "first_newton_step",
     "integral_step",
     "phi_step",
@@ -71,6 +73,16 @@ class Status(str, Enum):
     MAX_ITER = "max_iter"
     SINGULAR = "singular"
     NONFINITE = "nonfinite"
+
+
+# Exceptions a step may raise on a bad point; error_status names the stop.
+# SingularJetError is a ZeroDivisionError subclass.
+STEP_ERRORS = (OverflowError, ZeroDivisionError, JetDomainError)
+
+
+def error_status(exc: BaseException) -> Status:
+    """Status for one of :data:`STEP_ERRORS`: overflow is NONFINITE, the rest SINGULAR."""
+    return Status.NONFINITE if isinstance(exc, OverflowError) else Status.SINGULAR
 
 
 @dataclass(frozen=True)

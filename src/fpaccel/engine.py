@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .accelerators import Status, StepOutcome
-from .jets import JetDomainError, Scalar, is_finite
+from .accelerators import STEP_ERRORS, Status, StepOutcome, error_status
+from .jets import Scalar, is_finite
 
 __all__ = [
     "IterationTrace",
@@ -69,8 +69,8 @@ def iterate(
     (nonfinite), any other step status but ``OK``, such as ``SINGULAR``,
     which becomes the stop reason (for these three the previous point
     stays last), or ``max_iter`` steps.  Exceptions the steps are known
-    to raise on bad points (OverflowError, ZeroDivisionError,
-    JetDomainError) are mapped to stop reasons as well.
+    to raise on bad points (:data:`~fpaccel.accelerators.STEP_ERRORS`) are
+    mapped to stop reasons by :func:`~fpaccel.accelerators.error_status`.
     """
     if not is_finite(x0):
         raise ValueError("x0 must be finite")
@@ -84,12 +84,8 @@ def iterate(
     for n in range(1, max_iter + 1):
         try:
             out = step(x)
-        except OverflowError:
-            reason = NONFINITE
-            break
-        except (ZeroDivisionError, JetDomainError):
-            # SingularJetError is a ZeroDivisionError subclass
-            reason = Status.SINGULAR
+        except STEP_ERRORS as exc:
+            reason = error_status(exc)
             break
         status, val = out.status, out.value
         if status is not OK and status is not CONVERGED:

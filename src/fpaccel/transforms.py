@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .accelerators import DEFAULT_TOL, SINGULAR_EPS, Status, standard_step
-from .jets import JetDomainError, Scalar, is_finite
+from .accelerators import (
+    DEFAULT_TOL,
+    SINGULAR_EPS,
+    STEP_ERRORS,
+    Status,
+    error_status,
+    standard_step,
+)
+from .jets import Scalar, is_finite
 
 __all__ = [
     "SequenceView",
@@ -136,9 +143,8 @@ def w_transform(seq, u, tol: float = DEFAULT_TOL) -> SequenceView:
     """Map each iterate through the superlinear standard step of ``u``.
 
     out[n] = w(s[n]); output keeps the input length unless a step comes
-    back singular or non-finite, which truncates the output there.  The
-    exceptions :func:`fpaccel.engine.iterate` maps to a stop reason end
-    the output the same way.
+    back singular or non-finite, or raises one of ``STEP_ERRORS``, which
+    truncates the output there with that status, as in ``iterate``.
     """
     s = sequence_view(seq)
     out = []
@@ -146,11 +152,8 @@ def w_transform(seq, u, tol: float = DEFAULT_TOL) -> SequenceView:
     for x in s.items:
         try:
             res = standard_step(x, u.at(x), tol)
-        except OverflowError:
-            stop = Status.NONFINITE
-            break
-        except (ZeroDivisionError, JetDomainError):
-            stop = Status.SINGULAR
+        except STEP_ERRORS as exc:
+            stop = error_status(exc)
             break
         if res.status in (Status.SINGULAR, Status.NONFINITE):
             stop = res.status
