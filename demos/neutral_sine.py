@@ -16,10 +16,10 @@ from fpaccel import (
 prob = corpus_lookup("sin")
 u = prob.map
 
-plain = iterate(lambda x: plain_step(x, u), prob.x0, 12, x_star=0.0)
-first = iterate(lambda x: first_newton_step(x, u.at(x))[0], prob.x0, 12, x_star=0.0)
+plain = iterate(lambda x: plain_step(x, u), prob.x0, 12)
+first = iterate(lambda x: first_newton_step(x, u.at(x))[0], prob.x0, 12)
 # 4 steps reach roundoff; more would just repeat the converged value
-second = iterate(lambda x: standard_step(x, u.at(x)), prob.x0, 4, x_star=0.0)
+second = iterate(lambda x: standard_step(x, u.at(x)), prob.x0, 4)
 
 print(f"{'n':>3} {'plain':>22} {'first newton':>22} {'double newton':>22}")
 for n in range(13):

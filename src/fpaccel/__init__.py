@@ -1,11 +1,11 @@
 """fpaccel: turn crawling fixed point iterations into superlinear ones.
 
 The package is organised around second-order jets (:mod:`fpaccel.jets`),
-iteration maps with fixed point metadata (:mod:`fpaccel.maps`), the
+named iteration maps and the problem corpus (:mod:`fpaccel.maps`), the
 accelerated step functions (:mod:`fpaccel.accelerators`), whole-sequence
-transforms (:mod:`fpaccel.transforms`), an iteration driver
-(:mod:`fpaccel.engine`), detection of exactly-collapsing map families
-(:mod:`fpaccel.kernel`) and a CLI (:mod:`fpaccel.cli`).
+transforms that truncate rather than raise (:mod:`fpaccel.transforms`), an
+iteration driver (:mod:`fpaccel.engine`), detection of exactly-collapsing
+map families (:mod:`fpaccel.kernel`) and a CLI (:mod:`fpaccel.cli`).
 """
 
 from .accelerators import (
@@ -46,9 +46,6 @@ from .kernel import (
     kernel_family_fit,
 )
 from .maps import (
-    HYPERBOLIC,
-    NEUTRAL,
-    UNKNOWN,
     CorpusError,
     GoldenValue,
     IterationMap,
@@ -73,13 +70,11 @@ __all__ = [
     "CorpusError",
     "FitInconclusiveError",
     "GoldenValue",
-    "HYPERBOLIC",
     "IterationMap",
     "IterationTrace",
     "Jet2",
     "JetDomainError",
     "KernelVerdict",
-    "NEUTRAL",
     "OrderReport",
     "ProblemSpec",
     "QuadratureError",
@@ -89,7 +84,6 @@ __all__ = [
     "Status",
     "StepOutcome",
     "TracePoint",
-    "UNKNOWN",
     "adaptive_simpson",
     "affinity_test",
     "aitken_delta2",

@@ -131,20 +131,18 @@ def plain_step(x: Scalar, u) -> StepOutcome:
     return StepOutcome(val, Status.OK if is_finite(val) else Status.NONFINITE)
 
 
-def combined_map_value(u_val: Scalar, v_val: Scalar, v_slope: Scalar, x: Scalar) -> StepOutcome:
-    """Combined step (v - u * v') / (1 - v') for two maps agreeing at the target.
+def combined_map_value(v_val: Scalar, v_slope: Scalar, x: Scalar) -> StepOutcome:
+    """Newton step (v - x v') / (1 - v') for the residual x - v(x).
 
-    ``u_val`` and ``v_val`` are the two map values at ``x`` and
-    ``v_slope`` the second map's derivative there.  Passing ``u_val = x``
-    recovers the plain secant-through-identity form used by the standard
-    and phi steps.
+    ``v_val`` is the map value at ``x`` and ``v_slope`` its derivative
+    there; the standard and phi steps both end in this step.
     """
-    if not (is_finite(u_val) and is_finite(v_val) and is_finite(v_slope)):
+    if not (is_finite(v_val) and is_finite(v_slope)):
         return StepOutcome(_nan_like(x), Status.NONFINITE)
     den = 1.0 - v_slope
     if _singular(den, x):
         return StepOutcome(x, Status.SINGULAR)
-    val = (v_val - u_val * v_slope) / den
+    val = (v_val - x * v_slope) / den
     if not is_finite(val):
         return StepOutcome(val, Status.NONFINITE)
     return StepOutcome(val, Status.OK)
@@ -187,7 +185,7 @@ def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutco
     out, slope = first_newton_step(x, u_jet, tol)
     if not out.ok:
         return out
-    return combined_map_value(x, out.value, slope, x)
+    return combined_map_value(out.value, slope, x)
 
 
 def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
@@ -202,7 +200,7 @@ def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
         return StepOutcome(_nan_like(x), Status.NONFINITE)
     phi0 = u0 - u1 + 1.0
     phi1 = u1 - u2
-    return combined_map_value(x, phi0, phi1, x)
+    return combined_map_value(phi0, phi1, x)
 
 
 def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:

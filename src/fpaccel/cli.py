@@ -139,7 +139,8 @@ def run_experiment(
     divergence bound is lifted) so a blow-up shows up as padded
     Indeterminate rows next to the surviving columns.  A step method's
     trace is computed once per experiment; the transforms share the
-    plain one.
+    plain one.  A transform given too few plain iterates yields an empty
+    column, which adds no rows.
     """
     u = prob.map
     start = prob.x0 if x0 is None else x0
@@ -161,7 +162,7 @@ def run_experiment(
             out, offset = method.make(seq, u, tol, *args)
             stop = out.stopped_by.value if out.stopped_by else "end_of_input"
             statuses = (Status.OK.value,) * len(out)
-            columns.append(MethodColumn(spec, offset, out.items, statuses, stop))
+            columns.append(MethodColumn(spec, offset if len(out) else 0, out.items, statuses, stop))
         else:
             tr = trace(spec, method, args)
             stop = tr.stop_reason

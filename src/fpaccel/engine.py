@@ -5,7 +5,8 @@ the accelerated steps, wrapped in a closure) from a start point and
 records a full trace.  Step evaluation never aborts the run: singular
 and non-finite events end the trace with a stop reason instead of an
 exception, so a divergent column can sit next to a convergent one in the
-same experiment.
+same experiment.  :func:`empirical_order` classifies a trace against a
+known fixed point.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .accelerators import STEP_ERRORS, Status, StepOutcome, error_status
 from .jets import Scalar, is_finite
+
+# empirical_order's verdict thresholds on the last error ratio
+_LOG_BAND = (0.95, 1.05)
+_SUPERLINEAR_CUT = 0.05
+_STABILITY_RTOL = 0.1
 
 __all__ = [
     "IterationTrace",
@@ -37,13 +43,11 @@ class IterationTrace:
     """Recorded iterates plus why the run ended.
 
     Only finite accepted iterates are recorded; a singular or non-finite
-    step leaves the previous point as the last entry.  When the target
-    was supplied, ``error_sequence`` holds |x_n - x_star| per point.
+    step leaves the previous point as the last entry.
     """
 
     points: tuple[TracePoint, ...]
     stop_reason: Status
-    error_sequence: Optional[tuple[float, ...]] = None
 
     def values(self) -> tuple[Scalar, ...]:
         return tuple(p.value for p in self.points)
@@ -58,7 +62,6 @@ def iterate(
     max_iter: int = 20,
     tol: float = 1e-13,
     divergence_bound: float = 1e30,
-    x_star: Optional[Scalar] = None,
 ) -> IterationTrace:
     """Drive a step function from ``x0`` until it stops moving.
 
@@ -106,8 +109,7 @@ def iterate(
             continue
         points.append(TracePoint(n, val, reason))
         break
-    errors = None if x_star is None else tuple(abs(p.value - x_star) for p in points)
-    return IterationTrace(tuple(points), reason, errors)
+    return IterationTrace(tuple(points), reason)
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,10 @@ class OrderReport:
 def empirical_order(
     trace_or_values: Union[IterationTrace, Sequence[Scalar], Iterable[Scalar]],
     x_star: Scalar,
-    log_band: tuple[float, float] = (0.95, 1.05),
-    superlinear_cut: float = 0.05,
-    stability_rtol: float = 0.1,
 ) -> OrderReport:
     """Classify convergence from successive error ratios |e_{n+1}|/|e_n|.
+
+    The errors e_n = |x_n - x_star| are computed here from the iterates.
 
     A trace whose step reported its input already fixed ends with that
     input recorded twice; the repeat is dropped, since its unit error
@@ -157,10 +158,10 @@ def empirical_order(
     if errs[-1] == 0.0:
         return OrderReport("exact", None, tuple(ratios))
     last, prev = ratios[-1], ratios[-2]
-    if last < superlinear_cut:
+    if last < _SUPERLINEAR_CUT:
         return OrderReport("superlinear", None, tuple(ratios))
-    if log_band[0] <= last <= log_band[1]:
+    if _LOG_BAND[0] <= last <= _LOG_BAND[1]:
         return OrderReport("logarithmic", None, tuple(ratios))
-    if last < log_band[0] and abs(last - prev) <= stability_rtol * last:
+    if last < _LOG_BAND[0] and abs(last - prev) <= _STABILITY_RTOL * last:
         return OrderReport("linear", last, tuple(ratios))
     return OrderReport("inconclusive", None, tuple(ratios))

@@ -301,42 +301,31 @@ def pow_real(a: Jet2 | Scalar, exponent: float) -> Jet2 | Scalar:
         raise JetDomainError("exponent must be finite")
     jet = isinstance(a, Jet2)
     z = a.v0 if jet else a
+    cplx = isinstance(z, complex)
     integral = b == int(b)
     c2 = b * (b - 1.0)
 
-    if isinstance(z, complex):
-        if z == 0:
-            if b == 0.0:
-                return Jet2(complex(1.0), 0j, 0j) if jet else complex(1.0)
-            if b < 0.0:
-                raise JetDomainError("zero base with negative exponent")
-            if not integral:
-                raise JetDomainError(
-                    "complex zero base with fractional exponent has no finite jet"
-                )
-            if not jet:
-                return complex(0.0)
-            d1 = b * _zero_base_power(b - 1.0)
-            d2 = 0.0 if c2 == 0.0 else c2 * _zero_base_power(b - 2.0)
-            return _pow_factors(a, complex(0.0), d1, d2)
+    if z == 0:
+        zero = complex(0.0) if cplx else 0.0
+        if b == 0.0:
+            one = zero + 1.0
+            return Jet2(one, zero, zero) if jet else one
+        if b < 0.0:
+            raise JetDomainError("zero base with negative exponent")
+        if cplx and not integral:
+            raise JetDomainError("complex zero base with fractional exponent has no finite jet")
+        if not jet:
+            return zero
+        d1 = b * _zero_base_power(b - 1.0)
+        d2 = 0.0 if c2 == 0.0 else c2 * _zero_base_power(b - 2.0)
+        return _pow_factors(a, zero, d1, d2)
+    if cplx:
         f0 = z**b
         if not jet:
             return f0
         d1 = b * z ** (b - 1.0)
         d2 = c2 * z ** (b - 2.0)
         return _chain(a, f0, d1, d2)
-
-    if z == 0.0:
-        if b == 0.0:
-            return Jet2(1.0, 0.0, 0.0) if jet else 1.0
-        if b < 0.0:
-            raise JetDomainError("zero base with negative exponent")
-        if not jet:
-            return 0.0
-        f0 = 0.0
-        d1 = 0.0 if b == 0.0 else b * _zero_base_power(b - 1.0)
-        d2 = 0.0 if c2 == 0.0 else c2 * _zero_base_power(b - 2.0)
-        return _pow_factors(a, f0, d1, d2)
     if z < 0.0 and not integral:
         raise JetDomainError(
             f"negative real base {z!r} with fractional exponent; lift to complex instead"

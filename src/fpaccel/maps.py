@@ -1,10 +1,8 @@
 """Iteration maps and the bundled corpus of fixed point problems.
 
-An :class:`IterationMap` wraps a map body together with what is
-known about its fixed point: whether the slope there is exactly one
-(neutral) or bounded away from one (hyperbolic), the order of contact
-with the identity, and the leading derivative value.  Problems bundle a
-map with a start point and optional golden values used by the CLI suites.
+An :class:`IterationMap` is a named map body.  A :class:`ProblemSpec`
+bundles a map with a start point, its fixed point when known, and the
+golden values the CLI suites check.
 """
 
 from __future__ import annotations
@@ -16,14 +14,7 @@ from typing import Callable, Optional
 from . import jets
 from .jets import Jet2, Scalar, lift
 
-NEUTRAL = "neutral"
-HYPERBOLIC = "hyperbolic"
-UNKNOWN = "unknown"
-
 __all__ = [
-    "NEUTRAL",
-    "HYPERBOLIC",
-    "UNKNOWN",
     "CorpusError",
     "GoldenValue",
     "IterationMap",
@@ -40,26 +31,16 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class IterationMap:
-    """A self-map u together with fixed point metadata.
+    """A named self-map u.
 
     ``fn`` is the map body.  :meth:`at` calls it on a :class:`Jet2` and
     :meth:`value` on a bare float or complex, so the body uses only
     arithmetic and the elementary functions of :mod:`fpaccel.jets`, and
     raises a fractional power with ``jets.pow_real`` rather than ``**``.
-
-    ``contact_order`` is the order of the zero of ``u(x) - x`` at the
-    fixed point (2 or more for a neutral map that is flat there),
-    ``lead_coefficient`` the value of the first non-vanishing derivative
-    of that order.  Both are optional and purely informative; no
-    algorithm in this package reads them.
     """
 
     name: str
     fn: Callable[[Jet2 | Scalar], Jet2 | Scalar]
-    kind: str = UNKNOWN
-    contact_order: Optional[int] = None
-    lead_coefficient: Optional[Scalar] = None
-    domain_hint: Optional[str] = None
 
     def at(self, x: Scalar) -> Jet2:
         """Evaluate the map and its first two derivatives at ``x``."""
@@ -151,29 +132,15 @@ def kernel_family_map(alpha: Scalar, beta: float, x_star: Scalar) -> IterationMa
     accelerated steps degenerate to an affine map and a constant; used by
     the kernel detection tests and demos.
     """
-    if beta <= 0:
-        raise CorpusError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise CorpusError("beta must be positive and finite")
     if alpha == 0:
         raise CorpusError("alpha must be nonzero")
 
     def u(x: Jet2 | Scalar) -> Jet2 | Scalar:
         return x + alpha * jets.pow_real(x_star - x, beta)
 
-    b = float(beta)
-    order = int(b) if b == int(b) else None
-    kind = NEUTRAL if b > 1 else HYPERBOLIC
-    lead = None
-    if order is not None and order >= 2:
-        # m-th derivative of alpha*(x*-x)^m is alpha*m!*(-1)^m; a float
-        # product overflows to inf where math.factorial would raise
-        lead = alpha * math.prod(range(2, order + 1), start=1.0) * (-1.0) ** order
-    return IterationMap(
-        f"kernel_family(alpha={alpha}, beta={beta}, x_star={x_star})",
-        u,
-        kind,
-        order,
-        lead,
-    )
+    return IterationMap(f"kernel_family(alpha={alpha}, beta={beta}, x_star={x_star})", u)
 
 
 def _s_family(alphas: tuple, r: float, x_star: Scalar) -> IterationMap:
@@ -181,9 +148,11 @@ def _s_family(alphas: tuple, r: float, x_star: Scalar) -> IterationMap:
         raise CorpusError("s_family needs at least one coefficient")
     if len(alphas) > 4:
         raise CorpusError("s_family truncated at four terms")
-    if r < 1:
-        raise CorpusError("r must be at least 1")
+    if not 1 <= r < math.inf:
+        raise CorpusError("r must be finite and at least 1")
     coeffs = tuple(float(a) if not isinstance(a, complex) else a for a in alphas)
+    if not any(coeffs):
+        raise CorpusError("all coefficients are zero")
 
     def u(x: Jet2 | Scalar) -> Jet2 | Scalar:
         d = x - x_star
@@ -193,21 +162,7 @@ def _s_family(alphas: tuple, r: float, x_star: Scalar) -> IterationMap:
                 acc = acc + a * jets.pow_real(d, r + i)
         return acc
 
-    first = next((i for i, a in enumerate(coeffs, start=1) if a != 0), None)
-    if first is None:
-        raise CorpusError("all coefficients are zero")
-    b = r + first
-    order = int(b) if b == int(b) else None
-    lead = None
-    if order is not None:
-        lead = coeffs[first - 1] * math.prod(range(2, order + 1), start=1.0)
-    return IterationMap(
-        f"s_family(alphas={alphas}, r={r}, x_star={x_star})",
-        u,
-        NEUTRAL,
-        order,
-        lead,
-    )
+    return IterationMap(f"s_family(alphas={alphas}, r={r}, x_star={x_star})", u)
 
 
 # ---------- golden tables ----------
@@ -266,8 +221,7 @@ _KVB_GOLDEN = (
 
 def _build_sin(params: dict) -> ProblemSpec:
     _reject_params("sin", params)
-    m = IterationMap("sin", _sin_fn, NEUTRAL, 3, -1.0, "any real or complex start")
-    return ProblemSpec(m, 3.0, 0.0, _SIN_GOLDEN)
+    return ProblemSpec(IterationMap("sin", _sin_fn), 3.0, 0.0, _SIN_GOLDEN)
 
 
 def _build_logistic(params: dict) -> ProblemSpec:
@@ -280,24 +234,14 @@ def _build_logistic(params: dict) -> ProblemSpec:
         raise CorpusError("a=0 collapses the logistic map to a constant")
     fn = _logistic_fn(a)
     if a == 1.0:
-        m = IterationMap("logistic(a=1)", fn, NEUTRAL, 2, -2.0, "start in (0, 1)")
-        return ProblemSpec(m, 0.5, 0.0, _LOGISTIC_GOLDEN)
-    x_star = (a - 1.0) / a
-    m = IterationMap(f"logistic(a={a:g})", fn, HYPERBOLIC, None, None, "start in (0, 1)")
-    return ProblemSpec(m, 0.5, x_star)
+        return ProblemSpec(IterationMap("logistic(a=1)", fn), 0.5, 0.0, _LOGISTIC_GOLDEN)
+    return ProblemSpec(IterationMap(f"logistic(a={a:g})", fn), 0.5, (a - 1.0) / a)
 
 
 def _build_fdil(params: dict) -> ProblemSpec:
     _reject_params("fdil", params)
-    m = IterationMap(
-        "fdil",
-        _fdil_fn,
-        NEUTRAL,
-        None,
-        None,
-        "real x >= 1; lift the start to complex elsewhere",
-    )
-    return ProblemSpec(m, 1.5, 1.0)
+    # real x >= 1; lift the start to complex elsewhere
+    return ProblemSpec(IterationMap("fdil", _fdil_fn), 1.5, 1.0)
 
 
 def _build_power_family(params: dict) -> ProblemSpec:
@@ -306,8 +250,8 @@ def _build_power_family(params: dict) -> ProblemSpec:
     x_star = _pop_number(params, "power_family", "x_star", 0.0)
     _reject_params("power_family", params)
     r = float(r)
-    if r <= 1.0:
-        raise CorpusError("power_family needs r > 1")
+    if not 1.0 < r < math.inf:
+        raise CorpusError("power_family needs a finite r > 1")
     m = replace(
         kernel_family_map(alpha, r, x_star),
         name=f"power_family(alpha={alpha}, r={r}, x_star={x_star})",
@@ -330,14 +274,7 @@ def _build_s_family(params: dict) -> ProblemSpec:
 
 def _build_kvb(params: dict) -> ProblemSpec:
     _reject_params("kvb_complex", params)
-    m = IterationMap(
-        "kvb_complex",
-        _kvb_fn,
-        NEUTRAL,
-        2,
-        None,
-        "complex start near 2",
-    )
+    m = IterationMap("kvb_complex", _kvb_fn)
     return ProblemSpec(m, complex(1.9, 0.1), complex(2.0, 0.0), _KVB_GOLDEN)
 
 

@@ -3,9 +3,9 @@
 These operate on already computed iterate sequences, in contrast to the
 step functions in :mod:`fpaccel.accelerators` which need the map itself.
 Every transform consumes and produces a :class:`SequenceView`; plain
-iterables are accepted and wrapped.  A transform that hits a vanishing
-denominator truncates its output there and records why in
-``stopped_by`` rather than raising.
+iterables are accepted and wrapped.  A vanishing denominator or a
+non-finite result truncates the output there and records why in
+``stopped_by``; input too short for even one term gives an empty view.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import Iterable, Optional
 
 from .accelerators import (
     DEFAULT_TOL,
-    SINGULAR_EPS,
     STEP_ERRORS,
     Status,
+    _singular,
     error_status,
     standard_step,
 )
@@ -58,39 +58,32 @@ def sequence_view(
     """Wrap an iterable, truncating at the first non-finite entry."""
     if isinstance(items, SequenceView):
         return items
-    out = []
-    stop = stopped_by
-    for x in items:
-        if not is_finite(x):
-            stop = Status.NONFINITE
-            break
-        out.append(x)
-    return SequenceView(tuple(out), provenance, stop)
-
-
-def _tiny(den: Scalar, scale: Scalar) -> bool:
-    return abs(den) <= SINGULAR_EPS * (1.0 + abs(scale))
+    items = tuple(items)
+    # a finite sum proves every entry finite in one C-level pass; scan only if not
+    if not is_finite(sum(items)):
+        for n, x in enumerate(items):
+            if not is_finite(x):
+                return SequenceView(items[:n], provenance, Status.NONFINITE)
+    return SequenceView(items, provenance, stopped_by)
 
 
 def aitken_delta2(seq) -> SequenceView:
     """Classic delta-squared extrapolation.
 
     out[n] = s[n] - (s[n+1] - s[n])^2 / (s[n+2] - 2 s[n+1] + s[n]),
-    giving len(s) - 2 entries; needs at least three input terms.
+    giving len(s) - 2 entries, none for fewer than three input terms.
     """
     s = sequence_view(seq)
-    if len(s) < 3:
-        raise ValueError("aitken_delta2 needs at least 3 terms")
     out = []
     stop = None
     for n in range(len(s) - 2):
         d1 = s[n + 1] - s[n]
         d2 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-        if _tiny(d2, s[n]):
+        if _singular(d2, s[n]):
             stop = Status.SINGULAR
             break
         out.append(s[n] - d1 * d1 / d2)
-    return SequenceView(tuple(out), f"aitken({s.provenance})", stop or s.stopped_by)
+    return sequence_view(out, f"aitken({s.provenance})", stop or s.stopped_by)
 
 
 def theta2(seq) -> SequenceView:
@@ -101,39 +94,35 @@ def theta2(seq) -> SequenceView:
         out[n] = s[n+1] + (s[n+2] - s[n+1]) (t[n+2] - t[n+1])
                           / (t[n+2] - 2 t[n+1] + t[n]),
 
-    giving len(s) - 3 entries; needs at least four input terms.  Exact
-    on geometric sequences c r^n + x*.
+    giving len(s) - 3 entries, none for fewer than four input terms.
+    Exact on geometric sequences c r^n + x*.
     """
     s = sequence_view(seq)
-    if len(s) < 4:
-        raise ValueError("theta2 needs at least 4 terms")
     t = []
     stop = None
     for n in range(len(s) - 1):
         d = s[n + 1] - s[n]
-        if _tiny(d, s[n]):
+        if _singular(d, s[n]):
             stop = Status.SINGULAR
             break
         t.append(1.0 / d)
     out = []
     for n in range(max(0, min(len(s) - 3, len(t) - 2))):
         den = t[n + 2] - 2.0 * t[n + 1] + t[n]
-        if _tiny(den, t[n + 1]):
+        if _singular(den, t[n + 1]):
             stop = Status.SINGULAR
             break
         out.append(s[n + 1] + (s[n + 2] - s[n + 1]) * (t[n + 2] - t[n + 1]) / den)
-    return SequenceView(tuple(out), f"theta2({s.provenance})", stop or s.stopped_by)
+    return sequence_view(out, f"theta2({s.provenance})", stop or s.stopped_by)
 
 
 def iterated_aitken(seq, depth: int) -> SequenceView:
-    """Apply delta-squared ``depth`` times; needs 2*depth + 1 terms."""
+    """Apply delta-squared ``depth`` times; empty below 2*depth + 1 terms."""
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise ValueError("depth must be a non-negative integer")
     s = sequence_view(seq)
-    if len(s) < 2 * depth + 1:
-        raise ValueError(f"iterated_aitken depth {depth} needs {2 * depth + 1} terms")
     for _ in range(depth):
-        if len(s) < 3:
+        if not s:  # further passes stay empty; a huge depth must not spin
             break
         s = aitken_delta2(s)
     return s

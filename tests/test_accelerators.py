@@ -95,11 +95,11 @@ def test_nonfinite_propagates_nonfinite_value():
 
 
 def test_combined_map_value():
-    out = combined_map_value(0.3, 0.5, 0.25, 0.3)
+    out = combined_map_value(0.5, 0.25, 0.3)
     assert out.ok
     assert abs(out.value - (0.5 - 0.3 * 0.25) / 0.75) < 1e-16
-    assert combined_map_value(0.3, 0.5, 1.0, 0.3).status is Status.SINGULAR
-    bad = combined_map_value(0.3, float("nan"), 0.25, 0.3)
+    assert combined_map_value(0.5, 1.0, 0.3).status is Status.SINGULAR
+    bad = combined_map_value(float("nan"), 0.25, 0.3)
     assert bad.status is Status.NONFINITE
     assert not is_finite(bad.value)
 

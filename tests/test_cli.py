@@ -185,8 +185,8 @@ def test_unknown_suite(capsys):
         ["--problem", "sin", "--param", "a=1.0"],
         [],
         ["--problem", "sin", "--method", "compose:standard:0"],
-        ["--problem", "sin", "--method", "iterated_aitken:50", "--max-iter", "5"],
-        ["--problem", "sin", "--method", "aitken", "--max-iter", "1"],
+        ["--problem", "sin", "--method", "iterated_aitken:-1", "--max-iter", "5"],
+        ["--problem", "sin", "--method", "iterated_aitken:x", "--max-iter", "1"],
         ["--problem", "kvb_complex", "--method", "integral:2"],
         ["--problem", "sin", "--max-iter", "-1"],
         ["--problem", "sin", "--tol=-1e-9"],
@@ -208,6 +208,43 @@ def test_usage_errors_exit_2(capsys, argv):
     assert rc == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["--problem", "sin", "--method", "plain", "--method", "iterated_aitken:50",
+          "--max-iter", "5"], 6),
+        (["--problem", "sin", "--method", "aitken", "--max-iter", "1"], 0),
+        (["--problem", "logistic", "--param", "a=1", "--x0", "0", "--method", "plain",
+          "--method", "aitken"], 2),
+    ],
+)
+def test_short_plain_trace_gives_empty_transform_column(capsys, argv, rows):
+    rc, out, err = _run(capsys, argv + ["--format", "json"])
+    assert rc == 0 and err == ""
+    *steps, transform = json.loads(out)
+    assert transform["rows"] == [] and transform["stop_reason"] == "end_of_input"
+    assert [len(doc["rows"]) for doc in steps] == [rows] * len(steps)
+    # an empty column adds no blank markdown rows
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0 and len(out.splitlines()) == 2 + rows
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_overflowing_transform_stops_nonfinite(capsys):
+    argv = ["--problem", "power_family", "--param", "alpha=-1", "--param", "r=1.5",
+            "--x0", "-12.22", "--method", "plain", "--method", "aitken", "--max-iter", "14"]
+    rc, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert rc == 0
+    plain, aitken = json.loads(out, parse_constant=_reject_constant)
+    assert aitken["stop_reason"] == "nonfinite"
+    assert all(row["status"] == "ok" for row in aitken["rows"])
+    rc, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert "inf" not in out
 
 
 def _spec(name):

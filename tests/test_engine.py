@@ -39,7 +39,7 @@ def test_plain_sine_hits_max_iter():
 
 
 def test_newton_step_turns_sine_linear():
-    tr = iterate(_newton(SIN), 3.0, 25, x_star=0.0)
+    tr = iterate(_newton(SIN), 3.0, 25)
     assert tr.stop_reason is Status.MAX_ITER
     rep = empirical_order(tr, 0.0)
     assert rep.verdict == "linear"
@@ -58,12 +58,10 @@ def test_newton_step_rate_logistic():
 
 
 def test_standard_step_superlinear_and_converges():
-    tr = iterate(_standard(SIN), 3.0, 10, x_star=0.0)
+    tr = iterate(_standard(SIN), 3.0, 10)
     assert tr.stop_reason is Status.CONVERGED
     assert tr.points[-1].status is Status.CONVERGED
     assert abs(tr.last()) < 1e-11
-    assert tr.error_sequence is not None
-    assert len(tr.error_sequence) == len(tr.points)
     rep = empirical_order(tr, 0.0)
     assert rep.verdict == "superlinear"
 

@@ -5,8 +5,6 @@ import pytest
 
 from fpaccel.jets import is_finite
 from fpaccel.maps import (
-    HYPERBOLIC,
-    NEUTRAL,
     CorpusError,
     GoldenValue,
     corpus_lookup,
@@ -57,39 +55,36 @@ def test_start_point_evaluates_finitely(name, params):
 )
 def test_neutral_maps_have_unit_slope(name, params):
     prob = corpus_lookup(name, **params)
-    assert prob.map.kind == NEUTRAL
     slope = prob.map.at(prob.x_star).v1
     assert abs(slope - 1.0) <= 1e-9
 
 
 def test_sin_metadata():
     u = corpus_lookup("sin").map
-    assert u.contact_order == 3
-    assert u.lead_coefficient == -1.0
     # second derivative vanishes at the fixed point, third does not
     assert u.at(0.0).v2 == 0.0
     h = 1e-3
     third = (u.at(h).v2 - u.at(-h).v2) / (2.0 * h)
-    assert abs(third - u.lead_coefficient) < 1e-5
+    assert abs(third - (-1.0)) < 1e-5
 
 
 def test_logistic_neutral_metadata():
     prob = corpus_lookup("logistic", a=1.0)
-    assert prob.map.contact_order == 2
-    assert prob.map.lead_coefficient == -2.0
+    assert prob.map.at(0.0).v1 == 1.0
     assert prob.map.at(0.0).v2 == -2.0
     assert prob.x_star == 0.0
 
 
 def test_logistic_hyperbolic():
     prob = corpus_lookup("logistic", a=2.5)
-    assert prob.map.kind == HYPERBOLIC
     assert abs(prob.x_star - 0.6) < 1e-15
     assert abs(prob.map.at(prob.x_star).v1 - 1.0) > 0.1
 
 
 def test_logistic_default_is_neutral_case():
-    assert corpus_lookup("logistic").map.kind == NEUTRAL
+    prob = corpus_lookup("logistic")
+    assert prob.map.name == "logistic(a=1)"
+    assert prob.map.at(prob.x_star).v1 == 1.0
 
 
 def test_fdil_closed_form_value():
@@ -107,27 +102,29 @@ def test_kvb_first_iterate():
 
 
 def test_power_family_metadata():
+    # u = x + 2 (0 - x)^3: contact order 3, third derivative 2 * 3! * (-1)^3
     m = corpus_lookup("power_family", alpha=2.0, r=3.0).map
-    assert m.kind == NEUTRAL
-    assert m.contact_order == 3
-    assert m.lead_coefficient == 2.0 * 6.0 * (-1.0) ** 3
-    frac = corpus_lookup("power_family", alpha=1.0, r=2.5).map
-    assert frac.contact_order is None
+    assert m.at(0.0).v1 == 1.0 and m.at(0.0).v2 == 0.0
+    h = 1e-3
+    third = (m.at(h).v2 - m.at(-h).v2) / (2.0 * h)
+    assert abs(third - 2.0 * 6.0 * (-1.0) ** 3) < 1e-9
 
 
 def test_s_family_metadata():
+    # u = x + (x - 0)^4: contact order 4, fourth derivative 4! = 24
     m = corpus_lookup("s_family", alphas=(0.0, 1.0), r=2.0).map
-    assert m.contact_order == 4
-    assert m.lead_coefficient == 24.0
+    assert m.at(0.0).v1 == 1.0 and m.at(0.0).v2 == 0.0
+    h = 1e-2
+    fourth = (m.at(h).v2 - 2.0 * m.at(0.0).v2 + m.at(-h).v2) / (h * h)
+    assert abs(fourth - 24.0) < 1e-9
     val = m.value(0.3)
     assert abs(val - (0.3 + 0.3**4)) < 1e-15
 
 
 def test_kernel_family_map_values():
     m = kernel_family_map(0.5, 2.0, 1.0)
-    assert m.kind == NEUTRAL
-    assert m.contact_order == 2
-    assert m.lead_coefficient == 1.0
+    assert m.at(1.0).v1 == 1.0
+    assert m.at(1.0).v2 == 1.0
     assert abs(m.value(0.8) - (0.8 + 0.5 * 0.2**2)) < 1e-15
 
 
@@ -256,6 +253,13 @@ def test_corpus_errors():
         kernel_family_map(0.0, 2.0, 0.0)
     with pytest.raises(CorpusError):
         kernel_family_map(1.0, 0.0, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(CorpusError):
+            kernel_family_map(1.0, bad, 0.0)
+        with pytest.raises(CorpusError):
+            corpus_lookup("power_family", alpha=1.0, r=bad)
+        with pytest.raises(CorpusError):
+            corpus_lookup("s_family", alphas=(1.0,), r=bad)
 
 
 def test_golden_value_modes():

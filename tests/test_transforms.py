@@ -93,16 +93,27 @@ def test_constant_sequence_is_singular():
 
 
 def test_length_validation():
-    with pytest.raises(ValueError):
-        aitken_delta2([1.0, 2.0])
-    with pytest.raises(ValueError):
-        theta2([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        iterated_aitken([1.0, 2.0, 3.0], 2)
+    # input too short for one term gives an empty view that simply ended
+    for out in (
+        aitken_delta2([1.0, 2.0]),
+        theta2([1.0, 2.0, 3.0]),
+        iterated_aitken([1.0, 2.0, 4.0], 2),
+        iterated_aitken([], 3),
+        iterated_aitken([1.0, 2.0, 4.0], 10**9),
+    ):
+        assert out.items == () and out.stopped_by is None
     with pytest.raises(ValueError):
         iterated_aitken([1.0, 2.0, 3.0], -1)
     with pytest.raises(ValueError):
         iterated_aitken([1.0, 2.0, 3.0], 1.0)
+
+
+def test_overflow_truncates_as_nonfinite():
+    # the squared difference overflows; theta2's product does
+    out = aitken_delta2([0.0, 1e200, -1e200])
+    assert out.items == () and out.stopped_by is Status.NONFINITE
+    out = theta2([-2e300, -1e300, 0.0, 1e-10])
+    assert out.items == () and out.stopped_by is Status.NONFINITE
 
 
 def test_iterated_aitken():
