@@ -29,5 +29,5 @@ for depth in (1, 2, 3):
 
 print("iterating h3 from 1.0")
 tr = iterate(lambda x: integral_step(x, u, 3), 1.0, 6)
-for p in tr.points:
-    print(f"  {p.index}  {p.value:.15g}")
+for n, x in enumerate(tr.points):
+    print(f"  {n}  {x:.15g}")

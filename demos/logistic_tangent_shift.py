@@ -15,8 +15,8 @@ u = prob.map
 tr = iterate(lambda x: phi_step(x, u.at(x)), args.x0, args.steps)
 
 print(f"start {args.x0}, map {u.name}")
-for p in tr.points:
-    print(f"  {p.index:>2}  {p.value:>24.17g}  {p.status.value}")
+for n, x in enumerate(tr.points):
+    print(f"  {n:>2}  {x:>24.17g}")
 print(f"stopped: {tr.stop_reason.value}")
 
 # plain comparison at the same budget

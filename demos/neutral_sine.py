@@ -25,7 +25,7 @@ print(f"{'n':>3} {'plain':>22} {'first newton':>22} {'double newton':>22}")
 for n in range(13):
     row = []
     for tr in (plain, first, second):
-        row.append(f"{tr.values()[n]:>22.15g}" if n < len(tr.points) else " " * 22)
+        row.append(f"{tr.points[n]:>22.15g}" if n < len(tr.points) else " " * 22)
     print(f"{n:>3} " + " ".join(row))
 
 for name, tr in (("plain", plain), ("first", first), ("double", second)):

@@ -10,14 +10,13 @@ from fpaccel import (
     iterate,
     iterated_aitken,
     plain_step,
-    sequence_view,
     theta2,
     w_transform,
 )
 
 u = corpus_lookup("sin").map
 tr = iterate(lambda x: plain_step(x, u), 3.0, 12)
-seq = sequence_view(tr.values(), "plain sine iterates")
+seq = tr.points
 
 once = aitken_delta2(seq)
 twice = iterated_aitken(seq, 2)
@@ -26,7 +25,7 @@ w = w_transform(seq, u)
 
 print(f"{len(seq)} input terms, fixed point 0")
 print(f"{'last plain':>18} {seq[-1]:.6e}")
-print(f"{'aitken':>18} {once[-1]:.6e}   ({len(once)} terms, {once.provenance})")
+print(f"{'aitken':>18} {once[-1]:.6e}   ({len(once)} terms)")
 print(f"{'aitken twice':>18} {twice[-1]:.6e}   ({len(twice)} terms)")
 print(f"{'theta2':>18} {th[-1]:.6e}   ({len(th)} terms)")
 print(f"{'w transform':>18} {w[-1]:.6e}   ({len(w)} terms)")

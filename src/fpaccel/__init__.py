@@ -26,7 +26,6 @@ from .accelerators import (
 from .engine import (
     IterationTrace,
     OrderReport,
-    TracePoint,
     empirical_order,
     iterate,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "SingularJetError",
     "Status",
     "StepOutcome",
-    "TracePoint",
     "adaptive_simpson",
     "affinity_test",
     "aitken_delta2",

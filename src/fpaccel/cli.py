@@ -36,7 +36,7 @@ from .accelerators import (
 from .engine import iterate
 from .jets import Scalar
 from .maps import ProblemSpec, corpus_lookup, corpus_names
-from .transforms import aitken_delta2, iterated_aitken, sequence_view, theta2, w_transform
+from .transforms import aitken_delta2, iterated_aitken, theta2, w_transform
 
 __all__ = ["METHODS", "main", "run_experiment", "run_suite", "render"]
 
@@ -114,7 +114,6 @@ class MethodColumn:
     method: str
     offset: int
     values: tuple
-    statuses: tuple  # plain strings, the Status values
     stop_reason: str
     pad_to: int = 0  # pad rows up to this count with Indeterminate
 
@@ -158,17 +157,14 @@ def run_experiment(
         method = _lookup(name, args)
         if method.transform:
             plain = trace("plain", METHODS["plain"], ())
-            seq = sequence_view(plain.values(), f"plain:{u.name}")
-            out, offset = method.make(seq, u, tol, *args)
+            out, offset = method.make(plain.points, u, tol, *args)
             stop = out.stopped_by.value if out.stopped_by else "end_of_input"
-            statuses = (Status.OK.value,) * len(out)
-            columns.append(MethodColumn(spec, offset if len(out) else 0, out.items, statuses, stop))
+            columns.append(MethodColumn(spec, offset if len(out) else 0, out.items, stop))
         else:
             tr = trace(spec, method, args)
             stop = tr.stop_reason
             pad = max_iter + 1 if stop is Status.NONFINITE else 0
-            statuses = tuple(p.status.value for p in tr.points)
-            columns.append(MethodColumn(spec, 0, tr.values(), statuses, stop.value, pad))
+            columns.append(MethodColumn(spec, 0, tr.points, stop.value, pad))
     n_rows = max((max(c.offset + len(c.values), c.pad_to) for c in columns), default=0)
     return Experiment(u.name, columns, n_rows)
 
@@ -189,10 +185,17 @@ def _parts(v: Scalar) -> tuple[float, float]:
 
 
 def _rows(c: MethodColumn):
-    """``(n, value, status)`` per row; value None on an Indeterminate pad row."""
+    """``(n, value, status)`` per row; value None on an Indeterminate pad row.
+
+    Value rows read ``ok``, the last one its column's stop reason if that is
+    ``converged`` or ``diverged``, the two that end on the point they name.
+    """
     end = c.offset + len(c.values)
+    ok = Status.OK.value
+    on_point = c.stop_reason in (Status.CONVERGED.value, Status.DIVERGED.value)
+    statuses = chain(repeat(ok, len(c.values) - 1), (c.stop_reason if on_point else ok,))
     return chain(
-        zip(range(c.offset, end), c.values, c.statuses),
+        zip(range(c.offset, end), c.values, statuses),
         zip(range(end, c.pad_to), repeat(None), repeat(Status.NONFINITE.value)),
     )
 

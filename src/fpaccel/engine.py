@@ -25,17 +25,9 @@ _STABILITY_RTOL = 0.1
 __all__ = [
     "IterationTrace",
     "OrderReport",
-    "TracePoint",
     "empirical_order",
     "iterate",
 ]
-
-
-@dataclass(frozen=True)
-class TracePoint:
-    index: int
-    value: Scalar
-    status: Status  # OK, CONVERGED or DIVERGED
 
 
 @dataclass(frozen=True)
@@ -46,14 +38,11 @@ class IterationTrace:
     step leaves the previous point as the last entry.
     """
 
-    points: tuple[TracePoint, ...]
+    points: tuple[Scalar, ...]
     stop_reason: Status
 
-    def values(self) -> tuple[Scalar, ...]:
-        return tuple(p.value for p in self.points)
-
     def last(self) -> Scalar:
-        return self.points[-1].value
+        return self.points[-1]
 
 
 def iterate(
@@ -65,15 +54,17 @@ def iterate(
 ) -> IterationTrace:
     """Drive a step function from ``x0`` until it stops moving.
 
-    Stops on: two consecutive iterates within ``tol*(1+|x|)`` of each
-    other (converged), the step reporting the input is already fixed
+    Stops on: a new iterate y with ``|y - x| <= tol*(1+|y|)``, x the one
+    before it (converged), the step reporting its input already fixed
     (converged), an iterate beyond ``divergence_bound`` in magnitude
-    (diverged, the offending point is recorded), a non-finite iterate
-    (nonfinite), any other step status but ``OK``, such as ``SINGULAR``,
-    which becomes the stop reason (for these three the previous point
-    stays last), or ``max_iter`` steps.  Exceptions the steps are known
-    to raise on bad points (:data:`~fpaccel.accelerators.STEP_ERRORS`) are
-    mapped to stop reasons by :func:`~fpaccel.accelerators.error_status`.
+    (diverged); for these three the new point is recorded.  It also stops
+    on a non-finite iterate or a complex one whose modulus overflows
+    (nonfinite), or any other step status but ``OK``, such as
+    ``SINGULAR``, which becomes the stop reason; for these the previous
+    point stays last.  Otherwise it runs ``max_iter`` steps.  Exceptions
+    the steps are known to raise on bad points
+    (:data:`~fpaccel.accelerators.STEP_ERRORS`) are mapped to stop reasons
+    by :func:`~fpaccel.accelerators.error_status`.
     """
     if not is_finite(x0):
         raise ValueError("x0 must be finite")
@@ -81,33 +72,33 @@ def iterate(
         raise ValueError("max_iter must be non-negative")
     # members bound to locals: an attribute lookup per step is measurable
     OK, CONVERGED, NONFINITE = Status.OK, Status.CONVERGED, Status.NONFINITE
-    points = [TracePoint(0, x0, OK)]
+    points = [x0]
     x = x0
     reason = Status.MAX_ITER
-    for n in range(1, max_iter + 1):
-        try:
+    for _ in range(max_iter):
+        try:  # abs() of a finite complex raises OverflowError too
             out = step(x)
+            status, val = out.status, out.value
+            if status is not OK and status is not CONVERGED:
+                reason = status
+                break
+            if not is_finite(val):
+                reason = NONFINITE
+                break
+            if status is CONVERGED:
+                reason = CONVERGED
+            elif abs(val) > divergence_bound:
+                reason = Status.DIVERGED
+            elif abs(val - x) <= tol * (1.0 + abs(val)):
+                reason = CONVERGED
+            else:
+                points.append(val)
+                x = val
+                continue
         except STEP_ERRORS as exc:
             reason = error_status(exc)
             break
-        status, val = out.status, out.value
-        if status is not OK and status is not CONVERGED:
-            reason = status
-            break
-        if not is_finite(val):
-            reason = NONFINITE
-            break
-        if status is CONVERGED:
-            reason = CONVERGED
-        elif abs(val) > divergence_bound:
-            reason = Status.DIVERGED
-        elif abs(val - x) <= tol * (1.0 + abs(val)):
-            reason = CONVERGED
-        else:
-            points.append(TracePoint(n, val, OK))
-            x = val
-            continue
-        points.append(TracePoint(n, val, reason))
+        points.append(val)
         break
     return IterationTrace(tuple(points), reason)
 
@@ -141,9 +132,9 @@ def empirical_order(
     ratio would read as logarithmic.
     """
     if isinstance(trace_or_values, IterationTrace):
-        values = trace_or_values.values()
-        pts = trace_or_values.points
-        if len(pts) >= 2 and pts[-1].status is Status.CONVERGED and pts[-1].value == pts[-2].value:
+        values = trace_or_values.points
+        converged = trace_or_values.stop_reason is Status.CONVERGED
+        if converged and len(values) >= 2 and values[-1] == values[-2]:
             values = values[:-1]
     else:
         values = tuple(trace_or_values)

@@ -3,9 +3,10 @@
 These operate on already computed iterate sequences, in contrast to the
 step functions in :mod:`fpaccel.accelerators` which need the map itself.
 Every transform consumes and produces a :class:`SequenceView`; plain
-iterables are accepted and wrapped.  A vanishing denominator or a
-non-finite result truncates the output there and records why in
-``stopped_by``; input too short for even one term gives an empty view.
+iterables are accepted and wrapped.  A vanishing denominator, a
+non-finite result or a complex term whose modulus overflows truncates
+the output there and records why in ``stopped_by``; input too short for
+even one term gives an empty view.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SequenceView:
-    """Immutable scalar sequence with provenance and an end marker.
+    """Immutable scalar sequence with an end marker.
 
     ``stopped_by`` is None when the sequence simply ended, otherwise the
     reason output stopped early (``Status.SINGULAR`` or ``Status.NONFINITE``).
     """
 
     items: tuple[Scalar, ...]
-    provenance: str = ""
     stopped_by: Optional[Status] = None
 
     def __len__(self) -> int:
@@ -52,9 +52,7 @@ class SequenceView:
         return self.items[i]
 
 
-def sequence_view(
-    items: Iterable[Scalar], provenance: str = "", stopped_by: Optional[Status] = None
-) -> SequenceView:
+def sequence_view(items: Iterable[Scalar], stopped_by: Optional[Status] = None) -> SequenceView:
     """Wrap an iterable, truncating at the first non-finite entry."""
     if isinstance(items, SequenceView):
         return items
@@ -63,8 +61,8 @@ def sequence_view(
     if not is_finite(sum(items)):
         for n, x in enumerate(items):
             if not is_finite(x):
-                return SequenceView(items[:n], provenance, Status.NONFINITE)
-    return SequenceView(items, provenance, stopped_by)
+                return SequenceView(items[:n], Status.NONFINITE)
+    return SequenceView(items, stopped_by)
 
 
 def aitken_delta2(seq) -> SequenceView:
@@ -76,14 +74,17 @@ def aitken_delta2(seq) -> SequenceView:
     s = sequence_view(seq)
     out = []
     stop = None
-    for n in range(len(s) - 2):
-        d1 = s[n + 1] - s[n]
-        d2 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-        if _singular(d2, s[n]):
-            stop = Status.SINGULAR
-            break
-        out.append(s[n] - d1 * d1 / d2)
-    return sequence_view(out, f"aitken({s.provenance})", stop or s.stopped_by)
+    try:  # abs() in _singular overflows on a finite complex term
+        for n in range(len(s) - 2):
+            d1 = s[n + 1] - s[n]
+            d2 = s[n + 2] - 2.0 * s[n + 1] + s[n]
+            if _singular(d2, s[n]):
+                stop = Status.SINGULAR
+                break
+            out.append(s[n] - d1 * d1 / d2)
+    except STEP_ERRORS as exc:
+        stop = error_status(exc)
+    return sequence_view(out, stop or s.stopped_by)
 
 
 def theta2(seq) -> SequenceView:
@@ -100,12 +101,15 @@ def theta2(seq) -> SequenceView:
     s = sequence_view(seq)
     t = []
     stop = None
-    for n in range(len(s) - 1):
-        d = s[n + 1] - s[n]
-        if _singular(d, s[n]):
-            stop = Status.SINGULAR
-            break
-        t.append(1.0 / d)
+    try:  # abs() overflows on a finite complex term; each t kept is below 1e12
+        for n in range(len(s) - 1):
+            d = s[n + 1] - s[n]
+            if _singular(d, s[n]):
+                stop = Status.SINGULAR
+                break
+            t.append(1.0 / d)
+    except STEP_ERRORS as exc:
+        stop = error_status(exc)
     out = []
     for n in range(max(0, min(len(s) - 3, len(t) - 2))):
         den = t[n + 2] - 2.0 * t[n + 1] + t[n]
@@ -113,7 +117,7 @@ def theta2(seq) -> SequenceView:
             stop = Status.SINGULAR
             break
         out.append(s[n + 1] + (s[n + 2] - s[n + 1]) * (t[n + 2] - t[n + 1]) / den)
-    return sequence_view(out, f"theta2({s.provenance})", stop or s.stopped_by)
+    return sequence_view(out, stop or s.stopped_by)
 
 
 def iterated_aitken(seq, depth: int) -> SequenceView:
@@ -148,4 +152,4 @@ def w_transform(seq, u, tol: float = DEFAULT_TOL) -> SequenceView:
             stop = res.status
             break
         out.append(res.value)
-    return SequenceView(tuple(out), f"w({s.provenance})", stop or s.stopped_by)
+    return SequenceView(tuple(out), stop or s.stopped_by)

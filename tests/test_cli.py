@@ -5,6 +5,8 @@ import pytest
 from fpaccel import Status
 from fpaccel.cli import (
     METHODS,
+    Experiment,
+    MethodColumn,
     UsageError,
     _parse_params,
     main,
@@ -284,7 +286,33 @@ def test_status_cells_are_plain_values():
         assert doc["stop_reason"] in _STATUS_TEXT
         assert {row["status"] for row in doc["rows"]} <= _STATUS_TEXT
     assert [c.stop_reason for c in exp.columns] == ["nonfinite", "converged", "end_of_input"]
-    assert all(type(s) is str for c in exp.columns for s in c.statuses)
+    assert all(type(c.stop_reason) is str for c in exp.columns)
+
+
+def test_status_cell_rule():
+    # every value row reads ok but the last of a converged or diverged column,
+    # which reads the stop reason; pad rows read nonfinite
+    exp = run_experiment(corpus_lookup("kvb_complex"), ["plain", "standard", "aitken"], None, 8)
+    plain, std, aitken = json.loads(render(exp, "json"))
+    assert [row["status"] for row in plain["rows"]] == ["ok"] * 4 + ["nonfinite"] * 5
+    assert [row["status"] for row in std["rows"]] == ["ok"] * 6 + ["converged"]
+    assert {row["status"] for row in aitken["rows"]} == {"ok"}
+    diverged = Experiment("p", [MethodColumn("m", 0, (1.0, 2.0), "diverged")], 2)
+    assert render(diverged, "csv").splitlines()[1:] == ["0,m,1.0,0.0,ok", "1,m,2.0,0.0,diverged"]
+
+
+def test_overflowing_modulus_ends_column_nonfinite(capsys):
+    # the second iterate has finite parts but a modulus beyond the largest float
+    argv = ["--problem", "logistic", "--param", "a=1", "--x0", "1.2e154", "--x0-im", "0.6e154",
+            "--method", "plain", "--max-iter", "2"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == ""
+    rc, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert rc == 0
+    (doc,) = json.loads(out)
+    assert doc["stop_reason"] == "nonfinite"
+    assert [row["status"] for row in doc["rows"]] == ["ok", "nonfinite", "nonfinite"]
+    assert doc["rows"][0]["re"] == 1.2e154
 
 
 @pytest.mark.parametrize("x0", ["0.5", "0.9"])

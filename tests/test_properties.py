@@ -1,4 +1,4 @@
-"""Properties of the sequence transforms over random inputs.
+"""Properties of the sequence transforms and the jets over random inputs.
 
 The examples are derandomized, so every run draws the same cases.
 """
@@ -6,15 +6,25 @@ The examples are derandomized, so every run draws the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpaccel import Status, aitken_delta2, is_finite, iterated_aitken, theta2
+from fpaccel import (
+    Status,
+    aitken_delta2,
+    corpus_lookup,
+    is_finite,
+    iterated_aitken,
+    kernel_family_map,
+    theta2,
+)
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 _finite_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8)
+_huge_parts = st.floats(-1.7e308, 1.7e308)
+_complex_lists = st.lists(st.builds(complex, _huge_parts, _huge_parts), max_size=8)
 
 
 @_SETTINGS
-@given(_finite_lists, st.integers(0, 3))
+@given(st.one_of(_finite_lists, _complex_lists), st.integers(0, 3))
 def test_transforms_never_raise_or_emit_nonfinite(xs, depth):
     for out in (aitken_delta2(xs), theta2(xs), iterated_aitken(xs, depth)):
         assert all(is_finite(v) for v in out.items)
@@ -34,3 +44,46 @@ def test_aitken_and_theta2_exact_on_geometric_sequences(c, r, x_star, n):
     for out, length in ((aitken_delta2(s), n - 2), (theta2(s), n - 3)):
         assert len(out) == length and out.stopped_by is None
         assert all(abs(v - x_star) <= tol for v in out.items)
+
+
+_H = 1e-20
+# the complex step's truncation error is about (h / distance)**2 next to a
+# branch point of a fractional power, so draws keep this far from one
+_AWAY = 1e-6
+
+
+def _assert_complex_step_agrees(u, x):
+    # Im u(x + ih) / h is u'(x) with no difference to cancel; applied to the
+    # jet's v1 it gives u''(x).  The scale 1 + |.| allows for the rounding of
+    # terms that cancel where a derivative crosses zero.
+    jet = u.at(x)
+    for got, step in (
+        (jet.v1, u.value(complex(x, _H)).imag / _H),
+        (jet.v2, u.at(complex(x, _H)).v1.imag / _H),
+    ):
+        assert abs(got - step) <= 1e-13 * (1.0 + abs(step)), (x, got, step)
+
+
+_CORPUS_POINTS = st.one_of(
+    st.tuples(st.just(corpus_lookup("sin").map), st.floats(-10.0, 10.0)),
+    st.tuples(st.just(corpus_lookup("logistic", a=1.0).map), st.floats(-10.0, 10.0)),
+    st.tuples(st.just(corpus_lookup("fdil").map), st.floats(1.0 + _AWAY, 10.0)),
+    st.tuples(
+        st.just(corpus_lookup("s_family", alphas=(1.0, 0.5), r=1.0).map), st.floats(-10.0, 10.0)
+    ),
+    st.tuples(
+        st.just(corpus_lookup("power_family", alpha=1.0, r=2.5).map), st.floats(-10.0, -_AWAY)
+    ),
+)
+
+
+@_SETTINGS
+@given(_CORPUS_POINTS)
+def test_jet_derivatives_match_complex_step(case):
+    _assert_complex_step_agrees(*case)
+
+
+@_SETTINGS
+@given(_signed(0.1, 3.0), st.floats(1.1, 4.0), st.floats(-2.0, 2.0), st.floats(_AWAY, 4.0))
+def test_kernel_family_derivatives_match_complex_step(alpha, beta, x_star, distance):
+    _assert_complex_step_agrees(kernel_family_map(alpha, beta, x_star), x_star - distance)

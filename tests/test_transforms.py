@@ -25,10 +25,9 @@ def _sin_iterates(n):
 
 
 def test_sequence_view_wraps_and_truncates():
-    s = sequence_view([1.0, 2.0, float("inf"), 4.0], provenance="demo")
+    s = sequence_view([1.0, 2.0, float("inf"), 4.0])
     assert s.items == (1.0, 2.0)
     assert s.stopped_by == "nonfinite"
-    assert s.provenance == "demo"
     t = sequence_view((1.0, 2.0, 3.0))
     assert t.items == (1.0, 2.0, 3.0)
     assert t.stopped_by is None
@@ -114,6 +113,12 @@ def test_overflow_truncates_as_nonfinite():
     assert out.items == () and out.stopped_by is Status.NONFINITE
     out = theta2([-2e300, -1e300, 0.0, 1e-10])
     assert out.items == () and out.stopped_by is Status.NONFINITE
+    # finite complex terms whose modulus overflows in the singular test
+    big = complex(-8.5e307, -8.5e307)
+    out = aitken_delta2([big, 0j, big, 1j])
+    assert out.items == () and out.stopped_by is Status.NONFINITE
+    out = theta2([0j, complex(1.5e308, 1.5e308), 0j, 1j, 2j])
+    assert out.items == () and out.stopped_by is Status.NONFINITE
 
 
 def test_iterated_aitken():
@@ -133,7 +138,6 @@ def test_w_transform_sine():
     assert abs(out.items[0] - 1.40040775) <= 1e-7
     assert abs(out.items[1] - 0.000187252411) <= 1e-11
     assert abs(out.items[4] - 0.000181775731) <= 1e-11
-    assert out.provenance.startswith("w(")
 
 
 def test_w_transform_collapses_power_family():
@@ -157,12 +161,6 @@ def test_w_transform_domain_error_truncates():
     out = w_transform([0.5], corpus_lookup("fdil").map)
     assert out.items == ()
     assert out.stopped_by is Status.SINGULAR
-
-
-def test_provenance_composes():
-    s = sequence_view(_sin_iterates(4), provenance="plain:sin")
-    assert aitken_delta2(s).provenance == "aitken(plain:sin)"
-    assert theta2(s).provenance == "theta2(plain:sin)"
 
 
 def test_sequence_view_dataclass_is_frozen():
