@@ -19,6 +19,8 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from typing import Callable, NamedTuple, Optional
 
 from .accelerators import (
@@ -178,12 +180,6 @@ def _fmt(v: Scalar) -> str:
     return f"{v:.6g}"
 
 
-def _parts(v: Scalar) -> tuple[float, float]:
-    if isinstance(v, complex):
-        return v.real, v.imag
-    return float(v), 0.0
-
-
 def _rows(c: MethodColumn):
     """``(n, value, status)`` per row; value None on an Indeterminate pad row.
 
@@ -217,28 +213,45 @@ def render_csv(exp: Experiment) -> str:
         for n, v, s in _rows(c):
             if v is None:
                 lines.append(f"{n},{c.method},,,{s}")
+            elif isinstance(v, complex):
+                lines.append(f"{n},{c.method},{v.real!r},{v.imag!r},{s}")
             else:
-                re, im = _parts(v)
-                lines.append(f"{n},{c.method},{re!r},{im!r},{s}")
+                lines.append(f"{n},{c.method},{float(v)!r},0.0,{s}")
     return "\n".join(lines)
 
 
+_JSON_DOC = '  {\n    "problem": %s,\n    "method": %s,\n    "rows": [%s],\n    "stop_reason": %s\n  }'
+_JSON_ROW = '\n      {\n        "n": %d,\n        "re": %s,\n        "im": %s,\n        "status": %s\n      }'
+
+
+def _json_float(x: float) -> str:
+    return repr(x) if isfinite(x) else json.dumps(x)  # NaN, Infinity, -Infinity
+
+
 def render_json(exp: Experiment) -> str:
+    """One document per column, ``{problem, method, rows, stop_reason}``.
+
+    The text is exactly that of ``json.dumps(docs, indent=2)`` over those
+    documents, each row ``{"n", "re", "im", "status"}`` with null parts on
+    an Indeterminate pad row, but filled in from fixed templates: the
+    indenting encoder is pure Python and costs several times the run.
+    """
     docs = []
     for c in exp.columns:
         rows = []
         for n, v, s in _rows(c):
-            re, im = (None, None) if v is None else _parts(v)
-            rows.append({"n": n, "re": re, "im": im, "status": s})
+            if v is None:
+                re = im = "null"
+            elif isinstance(v, complex):
+                re, im = _json_float(v.real), _json_float(v.imag)
+            else:
+                re, im = _json_float(float(v)), "0.0"
+            rows.append(_JSON_ROW % (n, re, im, _json_str(s)))
+        body = ",".join(rows) + "\n    " if rows else ""
         docs.append(
-            {
-                "problem": exp.problem,
-                "method": c.method,
-                "rows": rows,
-                "stop_reason": c.stop_reason,
-            }
+            _JSON_DOC % (_json_str(exp.problem), _json_str(c.method), body, _json_str(c.stop_reason))
         )
-    return json.dumps(docs, indent=2)
+    return "[\n" + ",\n".join(docs) + "\n]" if docs else "[]"
 
 
 def render(exp: Experiment, fmt: str) -> str:

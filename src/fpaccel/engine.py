@@ -140,7 +140,12 @@ def empirical_order(
         values = tuple(trace_or_values)
     if len(values) < 4:
         raise ValueError("need at least 4 iterates to classify")
-    errs = [abs(v - x_star) for v in values]
+    errs = []
+    for n, v in enumerate(values):
+        try:  # abs() of a finite complex raises OverflowError past the largest float
+            errs.append(abs(v - x_star))
+        except OverflowError:
+            raise ValueError(f"iterate {n} ({v!r}) is too far from x_star to measure") from None
     ratios: list[float] = []
     for n in range(len(errs) - 1):
         if errs[n] == 0.0:

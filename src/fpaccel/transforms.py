@@ -71,7 +71,8 @@ def aitken_delta2(seq) -> SequenceView:
     out[n] = s[n] - (s[n+1] - s[n])^2 / (s[n+2] - 2 s[n+1] + s[n]),
     giving len(s) - 2 entries, none for fewer than three input terms.
     """
-    s = sequence_view(seq)
+    view = sequence_view(seq)
+    s = view.items  # indexing the tuple skips SequenceView.__getitem__
     out = []
     stop = None
     try:  # abs() in _singular overflows on a finite complex term
@@ -84,7 +85,7 @@ def aitken_delta2(seq) -> SequenceView:
             out.append(s[n] - d1 * d1 / d2)
     except STEP_ERRORS as exc:
         stop = error_status(exc)
-    return sequence_view(out, stop or s.stopped_by)
+    return sequence_view(out, stop or view.stopped_by)
 
 
 def theta2(seq) -> SequenceView:
@@ -98,7 +99,8 @@ def theta2(seq) -> SequenceView:
     giving len(s) - 3 entries, none for fewer than four input terms.
     Exact on geometric sequences c r^n + x*.
     """
-    s = sequence_view(seq)
+    view = sequence_view(seq)
+    s = view.items
     t = []
     stop = None
     try:  # abs() overflows on a finite complex term; each t kept is below 1e12
@@ -117,7 +119,7 @@ def theta2(seq) -> SequenceView:
             stop = Status.SINGULAR
             break
         out.append(s[n + 1] + (s[n + 2] - s[n + 1]) * (t[n + 2] - t[n + 1]) / den)
-    return sequence_view(out, stop or s.stopped_by)
+    return sequence_view(out, stop or view.stopped_by)
 
 
 def iterated_aitken(seq, depth: int) -> SequenceView:

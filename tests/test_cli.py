@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from render_reference import reference_csv, reference_json
 
 from fpaccel import Status
 from fpaccel.cli import (
@@ -11,6 +12,8 @@ from fpaccel.cli import (
     _parse_params,
     main,
     render,
+    render_csv,
+    render_json,
     run_experiment,
     run_suite,
 )
@@ -271,6 +274,30 @@ def test_every_method_runs_on_sin(name):
         assert render(exp, fmt)
     with pytest.raises(UsageError):
         run_experiment(corpus_lookup("sin"), [spec + ":9"], 3.0, 6)
+
+
+@pytest.mark.parametrize(
+    "problem, params, x0",
+    [("sin", {}, None), ("logistic", {"a": 1.0}, None), ("fdil", {}, 0.5), ("kvb_complex", {}, None)],
+)
+def test_renders_match_reference_encoders(problem, params, x0):
+    # every method the problem accepts; kvb_complex's plain column ends in
+    # Indeterminate pad rows and fdil from 0.5 leaves its transform columns empty
+    real_only = {"integral"} if problem == "kvb_complex" else set()
+    specs = [_spec(name) for name in METHODS if name not in real_only]
+    exp = run_experiment(corpus_lookup(problem, **params), specs, x0, 12)
+    assert render_json(exp) == reference_json(exp)
+    assert render_csv(exp) == reference_csv(exp)
+
+
+def test_renders_of_empty_columns_match_reference_encoders():
+    for exp in (
+        Experiment("sin", [], 0),
+        Experiment("sin", [MethodColumn("aitken", 0, (), "end_of_input")], 0),
+    ):
+        assert render_json(exp) == reference_json(exp)
+        assert render_csv(exp) == reference_csv(exp)
+    assert render_json(Experiment("sin", [], 0)) == "[]"
 
 
 _STATUS_TEXT = {s.value for s in Status} | {"end_of_input"}

@@ -149,3 +149,12 @@ def test_empirical_order_synthetic():
     assert empirical_order(wobble, 0.0).verdict == "inconclusive"
     with pytest.raises(ValueError):
         empirical_order([1.0, 0.5, 0.25], 0.0)
+
+
+def test_empirical_order_names_an_overflowing_iterate():
+    # finite parts, but a modulus beyond the largest float
+    z = complex(1.5e308, 1.5e308)
+    with pytest.raises(ValueError, match=r"iterate 0 \("):
+        empirical_order([z, z / 2, z / 4, z / 8], 0.0)
+    with pytest.raises(ValueError, match=r"iterate 2 \("):
+        empirical_order([1.0, 0.5, z, 0.25], 0.0)

@@ -1,10 +1,11 @@
-"""Properties of the sequence transforms and the jets over random inputs.
+"""Properties of the sequence transforms, the jets and the renderers over random inputs.
 
 The examples are derandomized, so every run draws the same cases.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from render_reference import reference_csv, reference_json
 
 from fpaccel import (
     Status,
@@ -15,6 +16,7 @@ from fpaccel import (
     kernel_family_map,
     theta2,
 )
+from fpaccel.cli import Experiment, MethodColumn, render_csv, render_json
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -87,3 +89,26 @@ def test_jet_derivatives_match_complex_step(case):
 @given(_signed(0.1, 3.0), st.floats(1.1, 4.0), st.floats(-2.0, 2.0), st.floats(_AWAY, 4.0))
 def test_kernel_family_derivatives_match_complex_step(alpha, beta, x_star, distance):
     _assert_complex_step_agrees(kernel_family_map(alpha, beta, x_star), x_star - distance)
+
+
+# every float, with +-inf, nan, -0.0 and subnormals, real or as complex parts
+_any_float = st.one_of(
+    st.sampled_from((float("inf"), -float("inf"), float("nan"), -0.0, 5e-324)), st.floats()
+)
+_names = st.text(st.one_of(st.sampled_from('"\\/\n\x00\x7fé∞\U0001d400'), st.characters()), max_size=6)
+_columns = st.builds(
+    MethodColumn,
+    _names,
+    st.integers(0, 3),
+    st.lists(st.one_of(_any_float, st.builds(complex, _any_float, _any_float)), max_size=6).map(tuple),
+    st.one_of(st.sampled_from([s.value for s in Status] + ["end_of_input"]), _names),
+    st.integers(0, 10),
+)
+
+
+@_SETTINGS
+@given(_names, st.lists(_columns, max_size=3))
+def test_renders_of_drawn_columns_match_reference_encoders(problem, columns):
+    exp = Experiment(problem, columns, 0)
+    assert render_json(exp) == reference_json(exp)
+    assert render_csv(exp) == reference_csv(exp)
