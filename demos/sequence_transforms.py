@@ -16,16 +16,13 @@ from fpaccel import (
 
 u = corpus_lookup("sin").map
 tr = iterate(lambda x: plain_step(x, u), 3.0, 12)
-seq = tr.points
 
-once = aitken_delta2(seq)
-twice = iterated_aitken(seq, 2)
-th = theta2(seq)
-w = w_transform(seq, u)
-
-print(f"{len(seq)} input terms, fixed point 0")
-print(f"{'last plain':>18} {seq[-1]:.6e}")
-print(f"{'aitken':>18} {once[-1]:.6e}   ({len(once)} terms)")
-print(f"{'aitken twice':>18} {twice[-1]:.6e}   ({len(twice)} terms)")
-print(f"{'theta2':>18} {th[-1]:.6e}   ({len(th)} terms)")
-print(f"{'w transform':>18} {w[-1]:.6e}   ({len(w)} terms)")
+print(f"{len(tr.points)} input terms, fixed point 0")
+print(f"{'last plain':>18} {tr.last():.6e}")
+for label, out in (
+    ("aitken", aitken_delta2(tr)),
+    ("aitken twice", iterated_aitken(tr, 2)),
+    ("theta2", theta2(tr)),
+    ("w transform", w_transform(tr, u)),
+):
+    print(f"{label:>18} {out.last():.6e}   ({len(out.points)} terms)")

@@ -54,10 +54,8 @@ from .maps import (
     kernel_family_map,
 )
 from .transforms import (
-    SequenceView,
     aitken_delta2,
     iterated_aitken,
-    sequence_view,
     theta2,
     w_transform,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "ProblemSpec",
     "QuadratureError",
     "Scalar",
-    "SequenceView",
     "SingularJetError",
     "Status",
     "StepOutcome",
@@ -101,7 +98,6 @@ __all__ = [
     "lift",
     "phi_step",
     "plain_step",
-    "sequence_view",
     "standard_step",
     "steffensen_step",
     "theta2",

@@ -62,8 +62,9 @@ __all__ = [
 class Status(str, Enum):
     """How a step, an iteration run or a sequence transform went.
 
-    A step reports OK, CONVERGED (its input is already fixed), SINGULAR or
-    NONFINITE; a run can also end DIVERGED or MAX_ITER.  Text output uses
+    A step reports OK, CONVERGED (its input is already fixed), SINGULAR,
+    NONFINITE or DOMAIN (the map left its real domain); a run can also end
+    DIVERGED or MAX_ITER, and a transform END_OF_INPUT.  Text output uses
     ``member.value``, since ``str(member)`` differs across Python versions.
     """
 
@@ -73,6 +74,8 @@ class Status(str, Enum):
     MAX_ITER = "max_iter"
     SINGULAR = "singular"
     NONFINITE = "nonfinite"
+    DOMAIN = "domain"
+    END_OF_INPUT = "end_of_input"
 
 
 # Exceptions a step may raise on a bad point; error_status names the stop.
@@ -81,8 +84,10 @@ STEP_ERRORS = (OverflowError, ZeroDivisionError, JetDomainError)
 
 
 def error_status(exc: BaseException) -> Status:
-    """Status for one of :data:`STEP_ERRORS`: overflow is NONFINITE, the rest SINGULAR."""
-    return Status.NONFINITE if isinstance(exc, OverflowError) else Status.SINGULAR
+    """Status for one of :data:`STEP_ERRORS`: NONFINITE, DOMAIN or SINGULAR."""
+    if isinstance(exc, OverflowError):
+        return Status.NONFINITE
+    return Status.DOMAIN if isinstance(exc, JetDomainError) else Status.SINGULAR
 
 
 @dataclass(frozen=True)
@@ -206,18 +211,16 @@ def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
 def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:
     """Derivative-free quadratic step from two map evaluations.
 
-    x_next = x - (u(x) - x)^2 / (x - 2 u(x) + u(u(x))).  ``u`` is an
-    IterationMap (anything with a ``value`` method works).  The converged
-    branch fires before the denominator is formed; at an exact fixed
-    point both vanish.
+    x_next = x - (u(x) - x)^2 / (x - 2 u(x) + u(u(x))) for an
+    IterationMap ``u``.  The converged branch fires before the denominator
+    is formed; at an exact fixed point both vanish.
     """
-    value_of = u.value if hasattr(u, "value") else u
-    u1 = value_of(x)
+    u1 = u.value(x)
     if not is_finite(u1):
         return StepOutcome(u1, Status.NONFINITE)
     if _converged(x, u1, tol):
         return StepOutcome(x, Status.CONVERGED)
-    u2 = value_of(u1)
+    u2 = u.value(u1)
     if not is_finite(u2):
         return StepOutcome(u2, Status.NONFINITE)
     den = x - 2.0 * u1 + u2
@@ -247,13 +250,13 @@ def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
 # ---------- adaptive quadrature and the integral step ----------
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
+def adaptive_simpson(f, a: float, b: float) -> float:
     """Integral of f over [a, b] by adaptive Simpson with Richardson correction.
 
     Interval halving stops when the two-panel refinement agrees with the
-    parent panel to 15*tol; the accepted value keeps the err/15
-    extrapolation term.  Raises :class:`QuadratureError` when 48 levels
-    of bisection are not enough.
+    parent panel to 15*QUAD_TOL, halved per level; the accepted value keeps
+    the err/15 extrapolation term.  Raises :class:`QuadratureError` when 48
+    levels of bisection are not enough.
     """
     if a == b:
         return 0.0
@@ -264,7 +267,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return sign * _simpson_branch(f, a, b, fa, fm, fb, whole, tol, 48)
+    return sign * _simpson_branch(f, a, b, fa, fm, fb, whole, QUAD_TOL, 48)
 
 
 def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -283,7 +286,7 @@ def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth):
     ) + _simpson_branch(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
 
 
-def integral_step(x: Scalar, g, depth: int, tol: float = QUAD_TOL) -> StepOutcome:
+def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
     """Step through the depth-fold antiderivative of a map pinned at 0.
 
     With h_0 = g and h_j(x) = integral of h_{j-1} from 0 to x, returns
@@ -300,12 +303,12 @@ def integral_step(x: Scalar, g, depth: int, tol: float = QUAD_TOL) -> StepOutcom
         raise ValueError("integral step handles real points only")
     if not isinstance(depth, int) or isinstance(depth, bool) or not 1 <= depth <= 3:
         raise ValueError("depth must be 1, 2 or 3")
-    value_of = g.value if hasattr(g, "value") else g
     if x == 0.0:
         return StepOutcome(0.0, Status.OK)
     x = float(x)
+    value_of = g.value
     fn = value_of if depth == 1 else lambda t: (x - t) ** (depth - 1) * value_of(t)
-    val = adaptive_simpson(fn, 0.0, x, tol) / math.factorial(depth - 1)
+    val = adaptive_simpson(fn, 0.0, x) / math.factorial(depth - 1)
     if not is_finite(val):
         return StepOutcome(val, Status.NONFINITE)
     return StepOutcome(val, Status.OK)

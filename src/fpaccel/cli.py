@@ -59,7 +59,7 @@ class Method(NamedTuple):
 
     A step factory takes ``(u, tol, *args)`` and returns a step function; a
     transform factory takes ``(plain iterates, u, tol, *args)`` and returns
-    ``(sequence, row offset)``.  Both look library functions up at call time.
+    ``(trace, row offset)``.  Both look library functions up at call time.
     """
 
     args: tuple
@@ -159,14 +159,12 @@ def run_experiment(
         method = _lookup(name, args)
         if method.transform:
             plain = trace("plain", METHODS["plain"], ())
-            out, offset = method.make(plain.points, u, tol, *args)
-            stop = out.stopped_by.value if out.stopped_by else "end_of_input"
-            columns.append(MethodColumn(spec, offset if len(out) else 0, out.items, stop))
+            tr, offset = method.make(plain.points, u, tol, *args)
+            offset, pad = (offset if tr.points else 0), 0  # an empty column adds no rows
         else:
-            tr = trace(spec, method, args)
-            stop = tr.stop_reason
-            pad = max_iter + 1 if stop is Status.NONFINITE else 0
-            columns.append(MethodColumn(spec, 0, tr.points, stop.value, pad))
+            tr, offset = trace(spec, method, args), 0
+            pad = max_iter + 1 if tr.stop_reason is Status.NONFINITE else 0
+        columns.append(MethodColumn(spec, offset, tr.points, tr.stop_reason.value, pad))
     n_rows = max((max(c.offset + len(c.values), c.pad_to) for c in columns), default=0)
     return Experiment(u.name, columns, n_rows)
 

@@ -32,10 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Recorded iterates plus why the run ended.
+    """A run of points plus why it ended.
 
-    Only finite accepted iterates are recorded; a singular or non-finite
-    step leaves the previous point as the last entry.
+    :func:`iterate` and every sequence transform return one.  Only finite
+    points are recorded; a singular or non-finite step of a run leaves the
+    previous point as the last entry.
     """
 
     points: tuple[Scalar, ...]

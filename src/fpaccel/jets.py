@@ -199,33 +199,47 @@ def _chain(a: Jet2, f0: Scalar, f1: Scalar, f2: Scalar) -> Jet2:
     return Jet2(f0, f1 * a.v1, f2 * a.v1 * a.v1 + f1 * a.v2)
 
 
+# sin, cos and exp catch the ValueError that math and cmath raise on an
+# infinite argument (or part) and raise OverflowError instead: the argument
+# had already overflowed, and a try costs nothing while nothing raises.
+
+
 def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
-    if not isinstance(a, Jet2):
-        return cmath.sin(a) if isinstance(a, complex) else math.sin(a)
-    z = a.v0
-    if isinstance(z, complex):
-        s, c = cmath.sin(z), cmath.cos(z)
-    else:
-        s, c = math.sin(z), math.cos(z)
+    try:
+        if not isinstance(a, Jet2):
+            return cmath.sin(a) if isinstance(a, complex) else math.sin(a)
+        z = a.v0
+        if isinstance(z, complex):
+            s, c = cmath.sin(z), cmath.cos(z)
+        else:
+            s, c = math.sin(z), math.cos(z)
+    except ValueError:
+        raise OverflowError("sin of an infinite argument") from None
     return _chain(a, s, c, -s)
 
 
 def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
-    if not isinstance(a, Jet2):
-        return cmath.cos(a) if isinstance(a, complex) else math.cos(a)
-    z = a.v0
-    if isinstance(z, complex):
-        s, c = cmath.sin(z), cmath.cos(z)
-    else:
-        s, c = math.sin(z), math.cos(z)
+    try:
+        if not isinstance(a, Jet2):
+            return cmath.cos(a) if isinstance(a, complex) else math.cos(a)
+        z = a.v0
+        if isinstance(z, complex):
+            s, c = cmath.sin(z), cmath.cos(z)
+        else:
+            s, c = math.sin(z), math.cos(z)
+    except ValueError:
+        raise OverflowError("cos of an infinite argument") from None
     return _chain(a, c, -s, -c)
 
 
 def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
-    if not isinstance(a, Jet2):
-        return cmath.exp(a) if isinstance(a, complex) else math.exp(a)
-    z = a.v0
-    e = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
+    try:
+        if not isinstance(a, Jet2):
+            return cmath.exp(a) if isinstance(a, complex) else math.exp(a)
+        z = a.v0
+        e = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
+    except ValueError:
+        raise OverflowError("exp of an infinite argument") from None
     return _chain(a, e, e, e)
 
 

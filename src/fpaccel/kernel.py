@@ -25,6 +25,7 @@ from .jets import Scalar, is_finite
 
 AFFINE_RESIDUAL_TOL = 1e-9
 FAMILY_RESIDUAL_TOL = 1e-6
+_AFFINITY_SAMPLES = 9
 
 __all__ = [
     "AFFINE_RESIDUAL_TOL",
@@ -74,29 +75,22 @@ class KernelVerdict:
     convention: Optional[str] = None
 
 
-def affinity_test(u, center: Scalar, radius: float, n_samples: int = 9) -> KernelVerdict:
+def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
     """Decide membership by checking the first Newton step for straightness.
 
-    Samples ``n_samples`` points (evenly spaced on an interval for real
-    centers, on a circle for complex ones), evaluates the first step at
-    each, and least-squares fits v = a x + b.  The fit residual against
+    Samples 9 points (evenly spaced on an interval for real centers, on a
+    circle for complex ones), evaluates the first step at each, and
+    least-squares fits v = a x + b.  The fit residual against
     ``AFFINE_RESIDUAL_TOL * (1 + |b|)`` decides membership; on success
     the fixed point is b/(1 - a) and the exponent 1/(1 - a).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if n_samples < 5:
-        raise ValueError("need at least 5 samples")
+    n = _AFFINITY_SAMPLES
     if isinstance(center, complex):
-        pts = [
-            center + radius * cmath.exp(2j * math.pi * k / n_samples)
-            for k in range(n_samples)
-        ]
+        pts = [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n)]
     else:
-        pts = [
-            center - radius + 2.0 * radius * k / (n_samples - 1)
-            for k in range(n_samples)
-        ]
+        pts = [center - radius + 2.0 * radius * k / (n - 1) for k in range(n)]
     xs, vs = [], []
     for p in pts:
         try:
@@ -107,9 +101,7 @@ def affinity_test(u, center: Scalar, radius: float, n_samples: int = 9) -> Kerne
             xs.append(p)
             vs.append(out.value)
     if len(xs) < 5:
-        raise FitInconclusiveError(
-            f"only {len(xs)} of {n_samples} first-step samples usable"
-        )
+        raise FitInconclusiveError(f"only {len(xs)} of {n} first-step samples usable")
     a_s, b_s, residual = _line_fit(xs, vs)
     member = residual <= AFFINE_RESIDUAL_TOL * (1.0 + abs(b_s))
     if not member:

@@ -55,8 +55,8 @@ class IterationMap:
 class GoldenValue:
     """One externally sourced reference cell for a method column.
 
-    ``part`` selects the compared component of the iterate ("re", "im" or
-    "mod"); ``mode`` is "abs" (absolute tolerance), "rel" (relative) or
+    ``part`` selects the compared component of the iterate ("re" or "im");
+    ``mode`` is "abs" (absolute tolerance), "rel" (relative) or
     "factor" (magnitudes within a multiplicative band, for cells pinned
     only up to arithmetic noise).
     """
@@ -73,8 +73,6 @@ class GoldenValue:
             g = got.real if isinstance(got, complex) else got
         elif self.part == "im":
             g = got.imag if isinstance(got, complex) else 0.0
-        elif self.part == "mod":
-            g = abs(got)
         else:
             raise ValueError(f"bad golden part {self.part!r}")
         if self.mode == "abs":

@@ -157,12 +157,6 @@ def test_steffensen_constant_map_lands_in_one_step():
     assert out.value == 0.8
 
 
-def test_steffensen_accepts_plain_callable():
-    out = steffensen_step(0.4, lambda x: 2.0 * x * (1.0 - x))
-    assert out.ok
-    assert abs(out.value - (0.4 + 0.0064 / 0.0608)) <= 1e-15
-
-
 def test_compose_step():
     step = lambda x: standard_step(x, SIN.at(x))
     out = compose_step(3.0, step, 2)
@@ -233,8 +227,3 @@ def test_integral_step_edges():
         integral_step(1.0, SIN, 4)
     with pytest.raises(ValueError):
         integral_step(1.0 + 0j, SIN, 1)
-
-
-def test_integral_step_accepts_plain_callable():
-    out = integral_step(1.0, math.sin, 1)
-    assert abs(out.value - (1.0 - math.cos(1.0))) <= 1e-12

@@ -107,7 +107,7 @@ def test_iterated_aitken_rows_start_at_depth(capsys):
     (doc,) = json.loads(out)
     assert doc["rows"][0]["n"] == 2
     assert len(doc["rows"]) == 3
-    assert doc["stop_reason"] == "end_of_input"
+    assert doc["stop_reason"] == Status.END_OF_INPUT.value
 
 
 def test_transform_column_offsets():
@@ -229,7 +229,7 @@ def test_short_plain_trace_gives_empty_transform_column(capsys, argv, rows):
     rc, out, err = _run(capsys, argv + ["--format", "json"])
     assert rc == 0 and err == ""
     *steps, transform = json.loads(out)
-    assert transform["rows"] == [] and transform["stop_reason"] == "end_of_input"
+    assert transform["rows"] == [] and transform["stop_reason"] == Status.END_OF_INPUT.value
     assert [len(doc["rows"]) for doc in steps] == [rows] * len(steps)
     # an empty column adds no blank markdown rows
     rc, out, _ = _run(capsys, argv)
@@ -293,14 +293,14 @@ def test_renders_match_reference_encoders(problem, params, x0):
 def test_renders_of_empty_columns_match_reference_encoders():
     for exp in (
         Experiment("sin", [], 0),
-        Experiment("sin", [MethodColumn("aitken", 0, (), "end_of_input")], 0),
+        Experiment("sin", [MethodColumn("aitken", 0, (), Status.END_OF_INPUT.value)], 0),
     ):
         assert render_json(exp) == reference_json(exp)
         assert render_csv(exp) == reference_csv(exp)
     assert render_json(Experiment("sin", [], 0)) == "[]"
 
 
-_STATUS_TEXT = {s.value for s in Status} | {"end_of_input"}
+_STATUS_TEXT = {s.value for s in Status}
 
 
 def test_status_cells_are_plain_values():
@@ -312,7 +312,8 @@ def test_status_cells_are_plain_values():
     for doc in json.loads(render(exp, "json")):
         assert doc["stop_reason"] in _STATUS_TEXT
         assert {row["status"] for row in doc["rows"]} <= _STATUS_TEXT
-    assert [c.stop_reason for c in exp.columns] == ["nonfinite", "converged", "end_of_input"]
+    stops = ["nonfinite", "converged", Status.END_OF_INPUT.value]
+    assert [c.stop_reason for c in exp.columns] == stops
     assert all(type(c.stop_reason) is str for c in exp.columns)
 
 
@@ -342,14 +343,28 @@ def test_overflowing_modulus_ends_column_nonfinite(capsys):
     assert doc["rows"][0]["re"] == 1.2e154
 
 
+def test_infinite_argument_ends_every_column_nonfinite(capsys):
+    # 2z overflows to inf+inf*j, where cmath.exp raises ValueError
+    argv = ["--problem", "kvb_complex", "--x0", "1e308", "--x0-im", "1e308",
+            "--method", "plain", "--method", "steffensen", "--method", "standard",
+            "--max-iter", "2", "--format", "json"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == ""
+    for doc in json.loads(out):
+        assert doc["stop_reason"] == "nonfinite"
+        assert [row["status"] for row in doc["rows"]] == ["ok", "nonfinite", "nonfinite"]
+        assert (doc["rows"][0]["re"], doc["rows"][0]["im"]) == (1e308, 1e308)
+
+
 @pytest.mark.parametrize("x0", ["0.5", "0.9"])
 def test_w_transform_domain_error_is_a_stop_reason(capsys, x0):
     rc, out, err = _run(
-        capsys, ["--problem", "fdil", "--x0", x0, "--method", "w_transform", "--format", "json"]
+        capsys,
+        ["--problem", "fdil", "--x0", x0, "--method", "plain", "--method", "w_transform",
+         "--format", "json"],
     )
     assert rc == 0, err
-    (doc,) = json.loads(out)
-    assert doc["stop_reason"] == "singular"
+    assert [doc["stop_reason"] for doc in json.loads(out)] == ["domain", "domain"]
 
 
 def test_param_parsing():

@@ -102,11 +102,11 @@ def test_singular_stop_keeps_previous_point():
     assert tr.last() == 0.0
 
 
-def test_domain_error_maps_to_singular():
+def test_domain_error_maps_to_domain():
     fd = corpus_lookup("fdil").map
     # real path of (x-1)^1.5 fails below 1
     tr = iterate(_plain(fd), 0.2, 5)
-    assert tr.stop_reason is Status.SINGULAR
+    assert tr.stop_reason is Status.DOMAIN
     assert len(tr.points) == 1
 
 

@@ -181,6 +181,27 @@ def test_elementary_scalar_domain_errors():
     assert jets.sqrt(-0.0) == 0.0 and math.copysign(1.0, jets.sqrt(-0.0)) == 1.0
 
 
+_INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (jets.sin, (_INF, -_INF, complex(_INF, 0.0), complex(_INF, _INF))),
+        (jets.cos, (_INF, -_INF, complex(_INF, 0.0), complex(_INF, _INF))),
+        (jets.exp, (complex(0.0, _INF), complex(_INF, _INF))),
+    ],
+    ids=["sin", "cos", "exp"],
+)
+def test_infinite_argument_raises_overflow(fn, args):
+    # math and cmath raise a bare ValueError here; the argument had overflowed
+    for x in args:
+        for arg in (x, lift(x)):
+            with pytest.raises(OverflowError):
+                fn(arg)
+    assert math.isnan(fn(math.nan))
+
+
 def test_pow_negative_base_integer_exponent():
     j = pow_real(lift(-2.0), 3)
     assert j.v0 == -8.0

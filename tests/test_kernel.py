@@ -63,8 +63,6 @@ def test_affinity_complex_circle_samples():
 def test_affinity_validation():
     with pytest.raises(ValueError):
         affinity_test(FDIL, 3.0, 0.0)
-    with pytest.raises(ValueError):
-        affinity_test(FDIL, 3.0, 1.0, n_samples=3)
 
 
 def test_affinity_inconclusive_when_samples_unusable():

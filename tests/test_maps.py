@@ -275,8 +275,6 @@ def test_golden_value_modes():
     assert not ok
     ok, _ = GoldenValue("m", 0, 0.25, part="im", tol=1e-6).check(complex(9.0, 0.25))
     assert ok
-    ok, _ = GoldenValue("m", 0, 2.0, part="mod", tol=1e-6).check(complex(0.0, -2.0))
-    assert ok
     with pytest.raises(ValueError):
         GoldenValue("m", 0, 1.0, part="bogus").check(1.0)
     with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
-"""Properties of the sequence transforms, the jets and the renderers over random inputs.
+"""Properties of the sequence transforms, the maps, the jets and the renderers over random inputs.
 
 The examples are derandomized, so every run draws the same cases.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from render_reference import reference_csv, reference_json
 
 from fpaccel import (
+    IterationTrace,
     Status,
     aitken_delta2,
     corpus_lookup,
@@ -15,7 +17,9 @@ from fpaccel import (
     iterated_aitken,
     kernel_family_map,
     theta2,
+    w_transform,
 )
+from fpaccel.accelerators import STEP_ERRORS
 from fpaccel.cli import Experiment, MethodColumn, render_csv, render_json
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -28,9 +32,11 @@ _complex_lists = st.lists(st.builds(complex, _huge_parts, _huge_parts), max_size
 @_SETTINGS
 @given(st.one_of(_finite_lists, _complex_lists), st.integers(0, 3))
 def test_transforms_never_raise_or_emit_nonfinite(xs, depth):
-    for out in (aitken_delta2(xs), theta2(xs), iterated_aitken(xs, depth)):
-        assert all(is_finite(v) for v in out.items)
-        assert out.stopped_by in (None, Status.SINGULAR, Status.NONFINITE)
+    sin = corpus_lookup("sin").map
+    for out in (aitken_delta2(xs), theta2(xs), iterated_aitken(xs, depth), w_transform(xs, sin)):
+        assert type(out) is IterationTrace and type(out.stop_reason) is Status
+        assert all(is_finite(v) for v in out.points)
+        assert out.stop_reason in (Status.END_OF_INPUT, Status.SINGULAR, Status.NONFINITE)
 
 
 def _signed(lo, hi):
@@ -44,8 +50,30 @@ def test_aitken_and_theta2_exact_on_geometric_sequences(c, r, x_star, n):
     s = [c * r**k + x_star for k in range(n)]
     tol = 1e-8 * (1.0 + abs(x_star))
     for out, length in ((aitken_delta2(s), n - 2), (theta2(s), n - 3)):
-        assert len(out) == length and out.stopped_by is None
-        assert all(abs(v - x_star) <= tol for v in out.items)
+        assert len(out.points) == length and out.stop_reason is Status.END_OF_INPUT
+        assert all(abs(v - x_star) <= tol for v in out.points)
+
+
+_CORPUS_MAPS = (
+    corpus_lookup("sin").map,
+    corpus_lookup("logistic", a=1.0).map,
+    corpus_lookup("fdil").map,
+    corpus_lookup("s_family", alphas=(1.0, 0.5), r=1.0).map,
+    corpus_lookup("power_family", alpha=1.0, r=2.5).map,
+    corpus_lookup("kvb_complex").map,
+)
+
+
+@pytest.mark.parametrize("u", _CORPUS_MAPS, ids=lambda u: u.name.split("(")[0])
+@_SETTINGS
+@given(z=st.builds(complex, _huge_parts, _huge_parts))
+def test_corpus_maps_raise_only_step_errors(u, z):
+    # a step maps these to a stop reason; anything else would end the whole run
+    for evaluate in (u.value, u.at):
+        try:
+            evaluate(z)
+        except STEP_ERRORS:
+            pass
 
 
 _H = 1e-20
@@ -101,7 +129,7 @@ _columns = st.builds(
     _names,
     st.integers(0, 3),
     st.lists(st.one_of(_any_float, st.builds(complex, _any_float, _any_float)), max_size=6).map(tuple),
-    st.one_of(st.sampled_from([s.value for s in Status] + ["end_of_input"]), _names),
+    st.one_of(st.sampled_from([s.value for s in Status]), _names),
     st.integers(0, 10),
 )
 
