@@ -17,7 +17,7 @@ prob = corpus_lookup("sin")
 u = prob.map
 
 plain = iterate(lambda x: plain_step(x, u), prob.x0, 12)
-first = iterate(lambda x: first_newton_step(x, u.at(x))[0], prob.x0, 12)
+first = iterate(lambda x: first_newton_step(x, u.at(x)), prob.x0, 12)
 # 4 steps reach roundoff; more would just repeat the converged value
 second = iterate(lambda x: standard_step(x, u.at(x)), prob.x0, 4)
 

@@ -28,9 +28,8 @@ load-bearing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .jets import Jet2, JetDomainError, Scalar, is_finite
 
@@ -90,13 +89,12 @@ def error_status(exc: BaseException) -> Status:
     return Status.DOMAIN if isinstance(exc, JetDomainError) else Status.SINGULAR
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Value of one accelerated step plus how the evaluation went.
 
     ``value`` is the proposed next iterate for status ``OK``, the input
     point for ``CONVERGED`` and ``SINGULAR``, and a non-finite scalar for
-    ``NONFINITE``.
+    ``NONFINITE``.  It unpacks as ``value, status``.
     """
 
     value: Scalar
@@ -127,13 +125,16 @@ def _singular(den: Scalar, x: Scalar) -> bool:
     return abs(den) <= SINGULAR_EPS * (1.0 + abs(x))
 
 
+def _outcome(val: Scalar) -> StepOutcome:
+    return StepOutcome(val, Status.OK if is_finite(val) else Status.NONFINITE)
+
+
 # ---------- Newton-style steps ----------
 
 
 def plain_step(x: Scalar, u) -> StepOutcome:
     """One application of the map, u(x): the crawl the other steps beat."""
-    val = u.value(x)
-    return StepOutcome(val, Status.OK if is_finite(val) else Status.NONFINITE)
+    return _outcome(u.value(x))
 
 
 def combined_map_value(v_val: Scalar, v_slope: Scalar, x: Scalar) -> StepOutcome:
@@ -147,39 +148,39 @@ def combined_map_value(v_val: Scalar, v_slope: Scalar, x: Scalar) -> StepOutcome
     den = 1.0 - v_slope
     if _singular(den, x):
         return StepOutcome(x, Status.SINGULAR)
-    val = (v_val - x * v_slope) / den
-    if not is_finite(val):
-        return StepOutcome(val, Status.NONFINITE)
-    return StepOutcome(val, Status.OK)
+    return _outcome((v_val - x * v_slope) / den)
 
 
-def first_newton_step(
-    x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL
-) -> tuple[StepOutcome, Scalar]:
-    """One Newton step for the residual x - u(x), with the step map's slope.
+def _first_newton(x: Scalar, u_jet: Jet2, tol: float) -> tuple:
+    """The first pass as a bare ``(value, status, slope)``.
 
-    Returns ``(outcome, slope)`` where the value is
-    v(x) = x + (u(x) - x)/(1 - u'(x)) and the slope is
+    The value is v(x) = x + (u(x) - x)/(1 - u'(x)) and the slope
     v'(x) = u''(x)(u(x) - x)/(1 - u'(x))^2.  Within ``tol`` of a fixed
     point the map is extended continuously: value x, slope 0.
     """
     u0, u1, u2 = u_jet.v0, u_jet.v1, u_jet.v2
     zero = x * 0
     if not is_finite(u0):
-        return StepOutcome(u0, Status.NONFINITE), zero
+        return u0, Status.NONFINITE, zero
     if _converged(x, u0, tol):
-        return StepOutcome(x, Status.CONVERGED), zero
+        return x, Status.CONVERGED, zero
     if not (is_finite(u1) and is_finite(u2)):
-        return StepOutcome(_nan_like(x), Status.NONFINITE), zero
+        return _nan_like(x), Status.NONFINITE, zero
     den = 1.0 - u1
     if _singular(den, x):
-        return StepOutcome(x, Status.SINGULAR), zero
+        return x, Status.SINGULAR, zero
     diff = u0 - x
     val = x + diff / den
     slope = u2 * diff / (den * den)
     if not (is_finite(val) and is_finite(slope)):
-        return StepOutcome(_nan_like(x), Status.NONFINITE), zero
-    return StepOutcome(val, Status.OK), slope
+        return _nan_like(x), Status.NONFINITE, zero
+    return val, Status.OK, slope
+
+
+def first_newton_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutcome:
+    """One Newton step for the residual x - u(x): the linear step v(x)."""
+    val, status, _ = _first_newton(x, u_jet, tol)
+    return StepOutcome(val, status)
 
 
 def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutcome:
@@ -187,10 +188,10 @@ def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutco
 
     Statuses from the inner step propagate unchanged.
     """
-    out, slope = first_newton_step(x, u_jet, tol)
-    if not out.ok:
-        return out
-    return combined_map_value(out.value, slope, x)
+    val, status, slope = _first_newton(x, u_jet, tol)
+    if status is not Status.OK:
+        return StepOutcome(val, status)
+    return combined_map_value(val, slope, x)
 
 
 def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
@@ -201,8 +202,6 @@ def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
     application already gives a fast step.
     """
     u0, u1, u2 = u_jet.v0, u_jet.v1, u_jet.v2
-    if not (is_finite(u0) and is_finite(u1) and is_finite(u2)):
-        return StepOutcome(_nan_like(x), Status.NONFINITE)
     phi0 = u0 - u1 + 1.0
     phi1 = u1 - u2
     return combined_map_value(phi0, phi1, x)
@@ -227,10 +226,7 @@ def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:
     if _singular(den, x):
         return StepOutcome(x, Status.SINGULAR)
     diff = u1 - x
-    val = x - diff * diff / den
-    if not is_finite(val):
-        return StepOutcome(val, Status.NONFINITE)
-    return StepOutcome(val, Status.OK)
+    return _outcome(x - diff * diff / den)
 
 
 def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
@@ -308,7 +304,4 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
     x = float(x)
     value_of = g.value
     fn = value_of if depth == 1 else lambda t: (x - t) ** (depth - 1) * value_of(t)
-    val = adaptive_simpson(fn, 0.0, x) / math.factorial(depth - 1)
-    if not is_finite(val):
-        return StepOutcome(val, Status.NONFINITE)
-    return StepOutcome(val, Status.OK)
+    return _outcome(adaptive_simpson(fn, 0.0, x) / math.factorial(depth - 1))

@@ -87,7 +87,7 @@ def _iterated_aitken(seq, u, tol, d):
 
 METHODS = {
     "plain": Method((), lambda u, tol: lambda x: plain_step(x, u)),
-    "first_newton": Method((), lambda u, tol: lambda x: first_newton_step(x, u.at(x), tol)[0]),
+    "first_newton": Method((), lambda u, tol: lambda x: first_newton_step(x, u.at(x), tol)),
     "standard": Method((), lambda u, tol: lambda x: standard_step(x, u.at(x), tol)),
     "phi": Method((), lambda u, tol: lambda x: phi_step(x, u.at(x))),
     "steffensen": Method((), lambda u, tol: lambda x: steffensen_step(x, u, tol)),
@@ -353,13 +353,13 @@ def _parse_params(pairs: list) -> dict:
         key, _, text = pair.partition("=")
         key = key.strip()
         text = text.strip()
-        if "," in text:
-            out[key] = tuple(float(t) for t in text.split(",") if t.strip())
-        else:
-            try:
+        try:
+            if "," in text:
+                out[key] = tuple(float(t) for t in text.split(",") if t.strip())
+            else:
                 out[key] = float(text)
-            except ValueError:
-                raise UsageError(f"--param {key} wants a number, got {text!r}") from None
+        except ValueError:
+            raise UsageError(f"--param {key} wants a number or a comma list, got {text!r}") from None
     return out
 
 
@@ -388,8 +388,6 @@ def main(argv: Optional[list] = None) -> int:
             return run_suite(args.suite)
         if not args.problem:
             raise UsageError("nothing to do: give --problem or --suite")
-        if args.tol < 0:
-            raise UsageError(f"--tol must be non-negative, got {args.tol!r}")
         prob = corpus_lookup(args.problem, **_parse_params(args.param))
         x0: Optional[Scalar] = args.x0
         if args.x0_im is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .accelerators import STEP_ERRORS, Status, StepOutcome, error_status
+from .accelerators import DEFAULT_TOL, STEP_ERRORS, Status, StepOutcome, error_status
 from .jets import Scalar, is_finite
 
 # empirical_order's verdict thresholds on the last error ratio
@@ -50,7 +50,7 @@ def iterate(
     step: Callable[[Scalar], StepOutcome],
     x0: Scalar,
     max_iter: int = 20,
-    tol: float = 1e-13,
+    tol: float = DEFAULT_TOL,
     divergence_bound: float = 1e30,
 ) -> IterationTrace:
     """Drive a step function from ``x0`` until it stops moving.
@@ -71,6 +71,8 @@ def iterate(
         raise ValueError("x0 must be finite")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
+    if not (is_finite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     # members bound to locals: an attribute lookup per step is measurable
     OK, CONVERGED, NONFINITE = Status.OK, Status.CONVERGED, Status.NONFINITE
     points = [x0]
@@ -78,8 +80,7 @@ def iterate(
     reason = Status.MAX_ITER
     for _ in range(max_iter):
         try:  # abs() of a finite complex raises OverflowError too
-            out = step(x)
-            status, val = out.status, out.value
+            val, status = step(x)
             if status is not OK and status is not CONVERGED:
                 reason = status
                 break

@@ -65,11 +65,8 @@ class SingularJetError(ZeroDivisionError):
     """Division by a jet whose value component is exactly zero."""
 
 
-def is_finite(z: Scalar) -> bool:
-    """True when every component of the scalar is finite (no inf, no nan)."""
-    if isinstance(z, complex):
-        return math.isfinite(z.real) and math.isfinite(z.imag)
-    return math.isfinite(z)
+# True when every component of a float or complex is finite (no inf, no nan)
+is_finite = cmath.isfinite
 
 
 class Jet2:

@@ -94,10 +94,10 @@ def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
     xs, vs = [], []
     for p in pts:
         try:
-            out, _ = first_newton_step(p, u.at(p))
+            out = first_newton_step(p, u.at(p))
         except (ArithmeticError, ValueError):
             continue
-        if out.ok and is_finite(out.value):
+        if out.ok:
             xs.append(p)
             vs.append(out.value)
     if len(xs) < 5:

@@ -3,8 +3,11 @@ import math
 import pytest
 
 from fpaccel.accelerators import (
+    DEFAULT_TOL,
     QuadratureError,
     Status,
+    StepOutcome,
+    _first_newton,
     adaptive_simpson,
     combined_map_value,
     compose_step,
@@ -25,7 +28,8 @@ BUMP = IterationMap("bump", lambda x: x + 1.0 + x * x)
 
 
 def test_first_newton_matches_closed_form_at_start():
-    out, slope = first_newton_step(3.0, SIN.at(3.0))
+    out = first_newton_step(3.0, SIN.at(3.0))
+    _, _, slope = _first_newton(3.0, SIN.at(3.0), DEFAULT_TOL)
     assert out.status is Status.OK
     expected = 3.0 + (math.sin(3.0) - 3.0) / (1.0 - math.cos(3.0))
     assert abs(out.value - expected) <= 1e-15 * abs(expected)
@@ -38,11 +42,11 @@ def test_first_newton_slope_matches_finite_difference():
     for x in (3.0, 0.8, -1.2):
 
         def v(t):
-            out, _ = first_newton_step(t, SIN.at(t))
+            out = first_newton_step(t, SIN.at(t))
             assert out.ok
             return out.value
 
-        _, slope = first_newton_step(x, SIN.at(x))
+        _, _, slope = _first_newton(x, SIN.at(x), DEFAULT_TOL)
         fd = (v(x + h) - v(x - h)) / (2.0 * h)
         assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd))
 
@@ -60,7 +64,8 @@ def test_standard_step_closed_form():
 
 
 def test_converged_at_input_guard():
-    out, slope = first_newton_step(0.0, SIN.at(0.0))
+    out = first_newton_step(0.0, SIN.at(0.0))
+    _, _, slope = _first_newton(0.0, SIN.at(0.0), DEFAULT_TOL)
     assert out.status is Status.CONVERGED
     assert out.value == 0.0
     assert slope == 0.0
@@ -73,25 +78,33 @@ def test_converged_guard_shields_infinite_curvature():
     fd = corpus_lookup("fdil").map
     j = fd.at(1.0)
     assert not is_finite(j.v2)
-    out, _ = first_newton_step(1.0, j)
+    out = first_newton_step(1.0, j)
     assert out.status is Status.CONVERGED
     assert out.value == 1.0
 
 
 def test_singular_guard():
-    out, _ = first_newton_step(0.0, BUMP.at(0.0))
+    out = first_newton_step(0.0, BUMP.at(0.0))
     assert out.status is Status.SINGULAR
     assert out.value == 0.0
     assert standard_step(0.0, BUMP.at(0.0)).status is Status.SINGULAR
 
 
 def test_nonfinite_propagates_nonfinite_value():
-    out, _ = first_newton_step(1.0, Jet2(float("inf"), 1.0, 0.0))
+    out = first_newton_step(1.0, Jet2(float("inf"), 1.0, 0.0))
     assert out.status is Status.NONFINITE
     assert not is_finite(out.value)
-    out2, _ = first_newton_step(1.0, Jet2(5.0, float("nan"), 0.0))
+    out2 = first_newton_step(1.0, Jet2(5.0, float("nan"), 0.0))
     assert out2.status is Status.NONFINITE
     assert not is_finite(out2.value)
+
+
+def test_step_outcome_unpacks_as_value_and_status():
+    out = standard_step(3.0, SIN.at(3.0))
+    val, status = out
+    assert (val, status) == (out.value, out.status) and status is Status.OK
+    assert out == (out.value, Status.OK)
+    assert first_newton_step(0.0, SIN.at(0.0)) == StepOutcome(0.0, Status.CONVERGED)
 
 
 def test_combined_map_value():

@@ -195,8 +195,13 @@ def test_unknown_suite(capsys):
         ["--problem", "kvb_complex", "--method", "integral:2"],
         ["--problem", "sin", "--max-iter", "-1"],
         ["--problem", "sin", "--tol=-1e-9"],
+        ["--problem", "sin", "--tol=nan"],
+        ["--problem", "sin", "--tol=inf"],
         ["--problem", "power_family", "--param", "alpha=1", "--param", "r=1,2"],
         ["--problem", "s_family", "--param", "alphas=1", "--param", "r=1,2"],
+        ["--problem", "s_family", "--param", "alphas=1,abc", "--param", "r=1"],
+        ["--problem", "s_family", "--param", "alphas=,", "--param", "r=1"],
+        ["--problem", "logistic", "--param", "a="],
         ["--problem", "logistic", "--param", "a=1,2"],
         ["--problem", "power_family", "--param", "alpha=1,2", "--param", "r=3"],
         ["--problem", "sin", "--method", "integral:2", "--x0", "1e300"],
@@ -374,6 +379,8 @@ def test_param_parsing():
         _parse_params(["a"])
     with pytest.raises(UsageError):
         _parse_params(["a=two"])
+    with pytest.raises(UsageError, match="--param alphas wants"):
+        _parse_params(["alphas=1,abc"])
 
 
 def test_param_tuple_reaches_problem(capsys):

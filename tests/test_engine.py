@@ -21,7 +21,7 @@ def _plain(u):
 
 
 def _newton(u):
-    return lambda x: first_newton_step(x, u.at(x))[0]
+    return lambda x: first_newton_step(x, u.at(x))
 
 
 def _standard(u):
@@ -122,6 +122,9 @@ def test_iterate_validation():
         iterate(_plain(SIN), float("nan"), 5)
     with pytest.raises(ValueError):
         iterate(_plain(SIN), 3.0, -1)
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            iterate(_plain(SIN), 3.0, 5, tol)
     tr = iterate(_plain(SIN), 3.0, 0)
     assert len(tr.points) == 1
     assert tr.stop_reason is Status.MAX_ITER

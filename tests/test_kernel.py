@@ -8,7 +8,7 @@ import pytest
 
 import fpaccel
 from fpaccel import jets
-from fpaccel.accelerators import first_newton_step, standard_step
+from fpaccel.accelerators import DEFAULT_TOL, _first_newton, standard_step
 from fpaccel.kernel import (
     FitInconclusiveError,
     _line_fit,
@@ -202,8 +202,8 @@ def test_random_members_detected_and_collapsed():
         start = x_star - 0.21
         # the paper's collapse claim: the first Newton step is affine,
         # v = (1 - 1/beta) x + x_star / beta, and w lands on x_star
-        v, slope = first_newton_step(start, m.at(start))
-        assert abs(v.value - ((1.0 - 1.0 / beta) * start + x_star / beta)) <= 1e-11
+        v, _, slope = _first_newton(start, m.at(start), DEFAULT_TOL)
+        assert abs(v - ((1.0 - 1.0 / beta) * start + x_star / beta)) <= 1e-11
         assert abs(slope - (1.0 - 1.0 / beta)) <= 1e-9
         out = standard_step(start, m.at(start))
         assert out.ok

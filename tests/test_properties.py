@@ -1,4 +1,4 @@
-"""Properties of the sequence transforms, the maps, the jets and the renderers over random inputs.
+"""Properties of the sequence transforms, the maps, the steps, the jets and the renderers over random inputs.
 
 The examples are derandomized, so every run draws the same cases.
 """
@@ -19,8 +19,8 @@ from fpaccel import (
     theta2,
     w_transform,
 )
-from fpaccel.accelerators import STEP_ERRORS
-from fpaccel.cli import Experiment, MethodColumn, render_csv, render_json
+from fpaccel.accelerators import DEFAULT_TOL, STEP_ERRORS, StepOutcome
+from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -74,6 +74,31 @@ def test_corpus_maps_raise_only_step_errors(u, z):
             evaluate(z)
         except STEP_ERRORS:
             pass
+
+
+# plain, first_newton, standard, phi and steffensen
+_STEPS = [name for name, m in METHODS.items() if not m.args and not m.transform]
+
+
+@pytest.mark.parametrize("u", _CORPUS_MAPS, ids=lambda u: u.name.split("(")[0])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(x=st.one_of(_huge_parts, st.builds(complex, _huge_parts, _huge_parts)))
+def test_steps_keep_the_outcome_contract(u, x):
+    # OK carries a finite value, CONVERGED and SINGULAR the input point,
+    # NONFINITE a non-finite value; nothing else but STEP_ERRORS escapes
+    for name in _STEPS:
+        try:
+            out = METHODS[name].make(u, DEFAULT_TOL)(x)
+        except STEP_ERRORS:
+            continue
+        val, status = out
+        assert type(out) is StepOutcome and val is out.value and status is out.status
+        if status is Status.OK:
+            assert is_finite(val), (name, x, out)
+        elif status is Status.NONFINITE:
+            assert not is_finite(val), (name, x, out)
+        else:
+            assert status in (Status.CONVERGED, Status.SINGULAR) and val == x, (name, x, out)
 
 
 _H = 1e-20
