@@ -37,6 +37,12 @@ DEFAULT_TOL = 1e-13
 SINGULAR_EPS = 1e-12
 QUAD_TOL = 1e-12
 
+
+def _check_tol(tol: float) -> None:
+    # the steps take tol unchecked: a nan would turn their converged guard off
+    if not (is_finite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
 __all__ = [
     "DEFAULT_TOL",
     "SINGULAR_EPS",
@@ -178,7 +184,11 @@ def _first_newton(x: Scalar, u_jet: Jet2, tol: float) -> tuple:
 
 
 def first_newton_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutcome:
-    """One Newton step for the residual x - u(x): the linear step v(x)."""
+    """One Newton step for the residual x - u(x): the linear step v(x).
+
+    ``tol`` must be finite and non-negative; the steps do not check it,
+    :func:`~fpaccel.engine.iterate` and :func:`~fpaccel.transforms.w_transform` do.
+    """
     val, status, _ = _first_newton(x, u_jet, tol)
     return StepOutcome(val, status)
 
@@ -186,7 +196,8 @@ def first_newton_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepO
 def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutcome:
     """Both Newton layers in one call: the superlinear step w(x).
 
-    Statuses from the inner step propagate unchanged.
+    Statuses from the inner step propagate unchanged.  ``tol`` must be
+    finite and non-negative, as for :func:`first_newton_step`.
     """
     val, status, slope = _first_newton(x, u_jet, tol)
     if status is not Status.OK:
@@ -212,7 +223,8 @@ def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:
 
     x_next = x - (u(x) - x)^2 / (x - 2 u(x) + u(u(x))) for an
     IterationMap ``u``.  The converged branch fires before the denominator
-    is formed; at an exact fixed point both vanish.
+    is formed; at an exact fixed point both vanish.  ``tol`` must be
+    finite and non-negative, as for :func:`first_newton_step`.
     """
     u1 = u.value(x)
     if not is_finite(u1):
@@ -231,7 +243,7 @@ def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:
 
 def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
     """Apply a step function k times, short-circuiting on any non-ok status."""
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
     current = x
     out = StepOutcome(x, Status.OK)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .accelerators import DEFAULT_TOL, STEP_ERRORS, Status, StepOutcome, error_status
+from .accelerators import DEFAULT_TOL, STEP_ERRORS, Status, StepOutcome, _check_tol, error_status
 from .jets import Scalar, is_finite
 
 # empirical_order's verdict thresholds on the last error ratio
@@ -71,8 +71,7 @@ def iterate(
         raise ValueError("x0 must be finite")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    if not (is_finite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    _check_tol(tol)
     # members bound to locals: an attribute lookup per step is measurable
     OK, CONVERGED, NONFINITE = Status.OK, Status.CONVERGED, Status.NONFINITE
     points = [x0]

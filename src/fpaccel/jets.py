@@ -14,6 +14,14 @@ Seed an evaluation point with :func:`lift` and constants with
 >>> (y.v0, y.v1, y.v2)
 (4.0, 4.0, 2.0)
 
+A bare float, complex or int operand of ``+``, ``-`` and ``*`` is not
+promoted to a constant jet; the sums are written out with its zero
+derivatives kept, so they round exactly as the promoted form would,
+signed zeros included:
+
+>>> (Jet2(1.0, -0.0, -0.0) + 1.0).as_tuple()
+(2.0, 0.0, 0.0)
+
 The elementary functions (:func:`sin`, :func:`cos`, :func:`exp`,
 :func:`log`, :func:`sqrt`, :func:`pow_real`) also accept a bare float or
 complex.  On a scalar they return the value alone, after the same domain
@@ -102,50 +110,67 @@ class Jet2:
 
     # ---------- arithmetic ----------
 
+    # A bare float, complex or int operand is not promoted to a jet: each
+    # scalar branch is the jet-jet formula with ``(c, 0.0, 0.0)`` written in,
+    # zero terms kept, so -0.0 and inf*0 come out as with the promotion.
+
     def __add__(self, other):
-        b = _as_jet(other)
-        if b is None:
+        if type(other) is Jet2:
+            return Jet2(self.v0 + other.v0, self.v1 + other.v1, self.v2 + other.v2)
+        c = _scalar(other)
+        if c is NotImplemented:
             return NotImplemented
-        return Jet2(self.v0 + b.v0, self.v1 + b.v1, self.v2 + b.v2)
+        return Jet2(self.v0 + c, self.v1 + 0.0, self.v2 + 0.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = _as_jet(other)
-        if b is None:
+        if type(other) is Jet2:
+            return Jet2(self.v0 - other.v0, self.v1 - other.v1, self.v2 - other.v2)
+        c = _scalar(other)
+        if c is NotImplemented:
             return NotImplemented
-        return Jet2(self.v0 - b.v0, self.v1 - b.v1, self.v2 - b.v2)
+        return Jet2(self.v0 - c, self.v1 - 0.0, self.v2 - 0.0)
 
     def __rsub__(self, other):
-        b = _as_jet(other)
-        if b is None:
+        c = _scalar(other)
+        if c is NotImplemented:
             return NotImplemented
-        return Jet2(b.v0 - self.v0, b.v1 - self.v1, b.v2 - self.v2)
+        return Jet2(c - self.v0, 0.0 - self.v1, 0.0 - self.v2)
 
     def __mul__(self, other):
-        b = _as_jet(other)
-        if b is None:
-            return NotImplemented
         a = self
+        if type(other) is Jet2:
+            b = other
+            return Jet2(
+                a.v0 * b.v0,
+                a.v0 * b.v1 + a.v1 * b.v0,
+                a.v0 * b.v2 + 2.0 * a.v1 * b.v1 + a.v2 * b.v0,
+            )
+        c = _scalar(other)
+        if c is NotImplemented:
+            return NotImplemented
         return Jet2(
-            a.v0 * b.v0,
-            a.v0 * b.v1 + a.v1 * b.v0,
-            a.v0 * b.v2 + 2.0 * a.v1 * b.v1 + a.v2 * b.v0,
+            a.v0 * c,
+            a.v0 * 0.0 + a.v1 * c,
+            a.v0 * 0.0 + 2.0 * a.v1 * 0.0 + a.v2 * c,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = _as_jet(other)
-        if b is None:
+        if type(other) is Jet2:
+            return _div(self, other)
+        c = _scalar(other)
+        if c is NotImplemented:
             return NotImplemented
-        return _div(self, b)
+        return _div(self, Jet2(c, 0.0, 0.0))
 
     def __rtruediv__(self, other):
-        b = _as_jet(other)
-        if b is None:
+        c = _scalar(other)
+        if c is NotImplemented:
             return NotImplemented
-        return _div(b, self)
+        return _div(Jet2(c, 0.0, 0.0), self)
 
     def __neg__(self):
         return Jet2(-self.v0, -self.v1, -self.v2)
@@ -159,14 +184,13 @@ class Jet2:
         return NotImplemented
 
 
-def _as_jet(x) -> Jet2 | None:
-    if isinstance(x, Jet2):
-        return x
+def _scalar(x):
+    """A bare float or complex as is, an int (not a bool) as a float, else NotImplemented."""
     if isinstance(x, (float, complex)):
-        return Jet2(x, 0.0, 0.0)  # as is: ``x + 0.0`` turns -0.0 parts into +0.0
+        return x  # as is: ``x + 0.0`` turns -0.0 parts into +0.0
     if isinstance(x, int) and not isinstance(x, bool):
-        return Jet2(float(x), 0.0, 0.0)
-    return None
+        return float(x)
+    return NotImplemented
 
 
 def _div(a: Jet2, b: Jet2) -> Jet2:
@@ -312,35 +336,36 @@ def pow_real(a: Jet2 | Scalar, exponent: float) -> Jet2 | Scalar:
         raise JetDomainError("exponent must be finite")
     jet = isinstance(a, Jet2)
     z = a.v0 if jet else a
-    cplx = isinstance(z, complex)
-    integral = b == int(b)
     c2 = b * (b - 1.0)
-
-    if z == 0:
-        zero = complex(0.0) if cplx else 0.0
-        if b == 0.0:
-            one = zero + 1.0
-            return Jet2(one, zero, zero) if jet else one
-        if b < 0.0:
-            raise JetDomainError("zero base with negative exponent")
-        if cplx and not integral:
-            raise JetDomainError("complex zero base with fractional exponent has no finite jet")
-        if not jet:
-            return zero
-        d1 = b * _zero_base_power(b - 1.0)
-        d2 = 0.0 if c2 == 0.0 else c2 * _zero_base_power(b - 2.0)
-        return _pow_factors(a, zero, d1, d2)
-    if cplx:
-        f0 = z**b
-        if not jet:
-            return f0
-        d1 = b * z ** (b - 1.0)
-        d2 = c2 * z ** (b - 2.0)
-        return _chain(a, f0, d1, d2)
-    if z < 0.0 and not integral:
-        raise JetDomainError(
-            f"negative real base {z!r} with fractional exponent; lift to complex instead"
-        )
+    # a positive real float base, the common case, goes straight to math.pow
+    if type(z) is not float or not z > 0.0:
+        cplx = isinstance(z, complex)
+        integral = b == int(b)
+        if z == 0:
+            zero = complex(0.0) if cplx else 0.0
+            if b == 0.0:
+                one = zero + 1.0
+                return Jet2(one, zero, zero) if jet else one
+            if b < 0.0:
+                raise JetDomainError("zero base with negative exponent")
+            if cplx and not integral:
+                raise JetDomainError("complex zero base with fractional exponent has no finite jet")
+            if not jet:
+                return zero
+            d1 = b * _zero_base_power(b - 1.0)
+            d2 = 0.0 if c2 == 0.0 else c2 * _zero_base_power(b - 2.0)
+            return _pow_factors(a, zero, d1, d2)
+        if cplx:
+            f0 = z**b
+            if not jet:
+                return f0
+            d1 = b * z ** (b - 1.0)
+            d2 = c2 * z ** (b - 2.0)
+            return _chain(a, f0, d1, d2)
+        if z < 0.0 and not integral:
+            raise JetDomainError(
+                f"negative real base {z!r} with fractional exponent; lift to complex instead"
+            )
     f0 = math.pow(z, b)
     if not jet:
         return f0

@@ -20,6 +20,7 @@ from .accelerators import (
     DEFAULT_TOL,
     STEP_ERRORS,
     Status,
+    _check_tol,
     _singular,
     error_status,
     standard_step,
@@ -127,7 +128,9 @@ def w_transform(seq, u, tol: float = DEFAULT_TOL) -> IterationTrace:
     out[n] = w(s[n]); output keeps the input length unless a step comes
     back singular or non-finite, or raises one of ``STEP_ERRORS``, which
     truncates the output there with that status, as in ``iterate``.
+    Raises :class:`ValueError` unless ``tol`` is finite and non-negative.
     """
+    _check_tol(tol)
     tr = _input(seq)
     out = []
     stop = None

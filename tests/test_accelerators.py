@@ -179,6 +179,8 @@ def test_compose_step():
         compose_step(3.0, step, 0)
     with pytest.raises(ValueError):
         compose_step(3.0, step, 1.5)
+    with pytest.raises(ValueError):
+        compose_step(3.0, step, True)
 
 
 def test_plain_step():

@@ -3,6 +3,9 @@
 The examples are derandomized, so every run draws the same cases.
 """
 
+import math
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from fpaccel import (
 )
 from fpaccel.accelerators import DEFAULT_TOL, STEP_ERRORS, StepOutcome
 from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json
+from fpaccel.jets import Jet2, pow_real
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -165,3 +169,73 @@ def test_renders_of_drawn_columns_match_reference_encoders(problem, columns):
     exp = Experiment(problem, columns, 0)
     assert render_json(exp) == reference_json(exp)
     assert render_csv(exp) == reference_csv(exp)
+
+
+# ---------- jet arithmetic with a bare operand ----------
+
+# every float as for the renders, plus the products that overflow to inf
+_jet_float = st.one_of(st.sampled_from((1e308, -1e308)), _any_float)
+_any_scalar = st.one_of(_jet_float, st.builds(complex, _jet_float, _jet_float))
+_any_jets = st.builds(Jet2, _any_scalar, _any_scalar, _any_scalar)
+# each operator with the jet-jet form that ``c op a`` took when a bare c was
+# promoted to k = Jet2(c, 0, 0) first; a * k and k * a differ in the bits of
+# v2, which has 2*a.v1*k.v1 where the other has 2*k.v1*a.v1
+_OPERATORS = (
+    (operator.add, lambda a, k: a + k),
+    (operator.sub, lambda a, k: k - a),
+    (operator.mul, lambda a, k: a * k),
+    (operator.truediv, lambda a, k: k / a),
+)
+
+
+def _bits(compute):
+    # a result compared component by component on (type, repr), which tells
+    # -0.0 from 0.0; a raised exception compares by its type
+    try:
+        out = compute()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    parts = out.as_tuple() if isinstance(out, Jet2) else (out,)
+    return tuple((type(v), repr(v)) for v in parts)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_any_jets, st.one_of(_any_scalar, st.integers(-(2**60), 2**60)))
+def test_scalar_operands_match_the_promoted_constant(a, c):
+    # a bare operand gives the bits of the jet-jet operator on Jet2(c, 0, 0)
+    k = Jet2(float(c) if isinstance(c, int) else c, 0.0, 0.0)
+    for op, reflected in _OPERATORS:
+        assert _bits(lambda: op(a, c)) == _bits(lambda: op(a, k)), (op, a, c)
+        assert _bits(lambda: op(c, a)) == _bits(lambda: reflected(a, k)), (op, c, a)
+
+
+def _pow_real_positive_reference(a, exponent):
+    # pow_real as it was before its positive-base branch, on a positive real
+    # float base: past the zero, complex and negative checks to math.pow
+    b = float(exponent)
+    jet = isinstance(a, Jet2)
+    z = a.v0 if jet else a
+    c2 = b * (b - 1.0)
+    f0 = math.pow(z, b)
+    if not jet:
+        return f0
+    d1 = b * math.pow(z, b - 1.0)
+    d2 = 0.0 if c2 == 0.0 else c2 * math.pow(z, b - 2.0)
+    return Jet2(f0, d1 * a.v1, d2 * a.v1 * a.v1 + d1 * a.v2)
+
+
+_positive = st.one_of(
+    st.sampled_from((5e-324, 1e-300, 1.0, 1e300, float("inf"))), st.floats(0.0, exclude_min=True)
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    _positive,
+    _any_scalar,
+    _any_scalar,
+    st.one_of(st.sampled_from((0, 1, 2, -1, 0.5, 1.5, 2.5)), st.floats(-400.0, 400.0)),
+)
+def test_pow_real_positive_base_matches_the_reference(z, v1, v2, b):
+    for a in (z, Jet2(z, v1, v2)):
+        assert _bits(lambda: pow_real(a, b)) == _bits(lambda: _pow_real_positive_reference(a, b))

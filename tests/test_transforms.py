@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fpaccel.accelerators import Status
-from fpaccel.engine import IterationTrace
+from fpaccel.accelerators import Status, plain_step
+from fpaccel.engine import IterationTrace, iterate
 from fpaccel.maps import IterationMap, corpus_lookup
 from fpaccel.transforms import aitken_delta2, iterated_aitken, theta2, w_transform
 
@@ -149,6 +149,16 @@ def test_w_transform_sine():
     assert abs(out.points[0] - 1.40040775) <= 1e-7
     assert abs(out.points[1] - 0.000187252411) <= 1e-11
     assert abs(out.points[4] - 0.000181775731) <= 1e-11
+
+
+def test_w_transform_checks_tol():
+    # the plain sin trace from 1e-9 is fixed to double precision; a nan tol
+    # turned the steps' converged guard off and ended it singular, with no points
+    tr = iterate(lambda x: plain_step(x, SIN), 1e-9)
+    assert w_transform(tr, SIN) == IterationTrace((1e-9, 1e-9), Status.CONVERGED)
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            w_transform(tr, SIN, tol)
 
 
 def test_w_transform_collapses_power_family():
