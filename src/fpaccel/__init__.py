@@ -13,6 +13,7 @@ from .accelerators import (
     QuadratureError,
     Status,
     StepOutcome,
+    adaptive_gauss_kronrod,
     adaptive_simpson,
     combined_map_value,
     compose_step,
@@ -79,6 +80,7 @@ __all__ = [
     "SingularJetError",
     "Status",
     "StepOutcome",
+    "adaptive_gauss_kronrod",
     "adaptive_simpson",
     "affinity_test",
     "aitken_delta2",

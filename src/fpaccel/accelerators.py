@@ -51,6 +51,7 @@ __all__ = [
     "STEP_ERRORS",
     "Status",
     "StepOutcome",
+    "adaptive_gauss_kronrod",
     "adaptive_simpson",
     "combined_map_value",
     "compose_step",
@@ -261,10 +262,12 @@ def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
 def adaptive_simpson(f, a: float, b: float) -> float:
     """Integral of f over [a, b] by adaptive Simpson with Richardson correction.
 
-    Interval halving stops when the two-panel refinement agrees with the
-    parent panel to 15*QUAD_TOL, halved per level; the accepted value keeps
-    the err/15 extrapolation term.  Raises :class:`QuadratureError` when 48
-    levels of bisection are not enough.
+    The reference rule the tests check :func:`adaptive_gauss_kronrod`
+    against; :func:`integral_step` does not use it.  Interval halving stops
+    when the two-panel refinement agrees with the parent panel to
+    15*QUAD_TOL, halved per level; the accepted value keeps the err/15
+    extrapolation term.  Raises :class:`QuadratureError` when 48 levels of
+    bisection are not enough.
     """
     if a == b:
         return 0.0
@@ -294,6 +297,76 @@ def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth):
     ) + _simpson_branch(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
 
 
+# QUADPACK qk15 (Piessens et al., 1983): the Kronrod abscissae on (0, 1)
+# with their 15-point weights, the 7-point Gauss weights of the abscissae
+# at odd indices (the Gauss nodes), and the weights of the centre node.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WGK_CENTRE = 0.209482141084727828012999174891714
+_WG_CENTRE = 0.417959183673469387755102040816327
+
+
+def adaptive_gauss_kronrod(f, a: float, b: float) -> float:
+    """Integral of f over [a, b] by adaptive Gauss-Kronrod 7-15.
+
+    Each panel evaluates f at its centre and at 7 symmetric node pairs;
+    the 15-point Kronrod sum is accepted when it differs from the embedded
+    7-point Gauss sum by at most the absolute budget QUAD_TOL, halved per
+    level of bisection.  ``b < a`` integrates over [b, a] and negates.
+    Raises :class:`QuadratureError` when 48 levels of bisection are not
+    enough.
+    """
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    return sign * _gauss_kronrod_branch(f, a, b, QUAD_TOL, 48)
+
+
+def _gauss_kronrod_branch(f, a, b, tol, depth):
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    kronrod = _WGK_CENTRE * fc
+    gauss = _WG_CENTRE * fc
+    for k, x in enumerate(_XGK):
+        dx = h * x
+        pair = f(c - dx) + f(c + dx)
+        kronrod += _WGK[k] * pair
+        if k % 2:
+            gauss += _WG[k // 2] * pair
+    if abs(kronrod - gauss) * h <= tol:
+        return h * kronrod
+    if depth <= 0:
+        raise QuadratureError(f"tolerance not reached on [{a:g}, {b:g}]")
+    return _gauss_kronrod_branch(f, a, c, 0.5 * tol, depth - 1) + _gauss_kronrod_branch(
+        f, c, b, 0.5 * tol, depth - 1
+    )
+
+
 def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
     """Step through the depth-fold antiderivative of a map pinned at 0.
 
@@ -303,9 +376,11 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
 
         h_d(x) = integral from 0 to x of (x - t)^(d-1) g(t) dt / (d-1)!,
 
-    so each step is a single adaptive quadrature.  For a map g with fixed
-    point 0 the repeated averaging flattens the residual, one contact
-    order per level.  Real arguments only; ``depth`` is 1, 2 or 3.
+    so each step is a single adaptive Gauss-Kronrod 7-15 quadrature
+    (:func:`adaptive_gauss_kronrod`, absolute budget QUAD_TOL).  For a
+    map g with fixed point 0 the repeated averaging flattens the
+    residual, one contact order per level.  Real arguments only;
+    ``depth`` is 1, 2 or 3.
     """
     if isinstance(x, complex):
         raise ValueError("integral step handles real points only")
@@ -316,4 +391,4 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
     x = float(x)
     value_of = g.value
     fn = value_of if depth == 1 else lambda t: (x - t) ** (depth - 1) * value_of(t)
-    return _outcome(adaptive_simpson(fn, 0.0, x) / math.factorial(depth - 1))
+    return _outcome(adaptive_gauss_kronrod(fn, 0.0, x) / math.factorial(depth - 1))

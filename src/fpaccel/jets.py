@@ -145,7 +145,7 @@ class Jet2:
             return Jet2(
                 a.v0 * b.v0,
                 a.v0 * b.v1 + a.v1 * b.v0,
-                a.v0 * b.v2 + 2.0 * a.v1 * b.v1 + a.v2 * b.v0,
+                a.v0 * b.v2 + 2.0 * (a.v1 * b.v1) + a.v2 * b.v0,
             )
         c = _scalar(other)
         if c is NotImplemented:
@@ -153,7 +153,7 @@ class Jet2:
         return Jet2(
             a.v0 * c,
             a.v0 * 0.0 + a.v1 * c,
-            a.v0 * 0.0 + 2.0 * a.v1 * 0.0 + a.v2 * c,
+            a.v0 * 0.0 + 2.0 * (a.v1 * 0.0) + a.v2 * c,
         )
 
     __rmul__ = __mul__
@@ -198,7 +198,7 @@ def _div(a: Jet2, b: Jet2) -> Jet2:
         raise SingularJetError("division by a jet with zero value")
     q0 = a.v0 / b.v0
     q1 = (a.v1 - q0 * b.v1) / b.v0
-    q2 = (a.v2 - 2.0 * q1 * b.v1 - q0 * b.v2) / b.v0
+    q2 = (a.v2 - 2.0 * (q1 * b.v1) - q0 * b.v2) / b.v0
     return Jet2(q0, q1, q2)
 
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpaccel.accelerators import (
     DEFAULT_TOL,
@@ -8,6 +10,7 @@ from fpaccel.accelerators import (
     Status,
     StepOutcome,
     _first_newton,
+    adaptive_gauss_kronrod,
     adaptive_simpson,
     combined_map_value,
     compose_step,
@@ -196,40 +199,89 @@ def test_compose_short_circuits_on_bad_status():
     assert out.status is Status.SINGULAR
 
 
-def test_adaptive_simpson_basics():
-    assert abs(adaptive_simpson(math.sin, 0.0, math.pi) - 2.0) <= 1e-12
-    assert adaptive_simpson(math.sin, 1.0, 1.0) == 0.0
-    fwd = adaptive_simpson(math.exp, 0.0, 1.0)
-    assert adaptive_simpson(math.exp, 1.0, 0.0) == -fwd
+# adaptive_simpson is the reference rule; integral_step uses adaptive_gauss_kronrod
+QUADRATURE_RULES = pytest.mark.parametrize("rule", [adaptive_simpson, adaptive_gauss_kronrod])
+
+
+@QUADRATURE_RULES
+def test_adaptive_simpson_basics(rule):
+    assert abs(rule(math.sin, 0.0, math.pi) - 2.0) <= 1e-12
+    assert rule(math.sin, 1.0, 1.0) == 0.0
+    fwd = rule(math.exp, 0.0, 1.0)
+    assert rule(math.exp, 1.0, 0.0) == -fwd
     assert abs(fwd - (math.e - 1.0)) <= 1e-12
 
 
-def test_adaptive_simpson_reports_failure():
-    with pytest.raises(QuadratureError):
-        adaptive_simpson(lambda t: 1.0 / (t - 1.0 / 3.0) ** 2, 0.0, 1.0)
+@QUADRATURE_RULES
+def test_adaptive_simpson_reports_failure(rule):
+    with pytest.raises(QuadratureError, match=r"tolerance not reached on \["):
+        rule(lambda t: 1.0 / (t - 1.0 / 3.0) ** 2, 0.0, 1.0)
+
+
+# antiderivative towers pinned at 0, depths 1, 2 and 3
+INTEGRAL_TOWERS = {
+    SIN: (
+        lambda x: 1.0 - math.cos(x),
+        lambda x: x - math.sin(x),
+        lambda x: x * x / 2.0 + math.cos(x) - 1.0,
+    ),
+    # logistic a=1: u = x - x^2
+    LOG1: (
+        lambda x: x**2 / 2.0 - x**3 / 3.0,
+        lambda x: x**3 / 6.0 - x**4 / 12.0,
+        lambda x: x**4 / 24.0 - x**5 / 60.0,
+    ),
+}
 
 
 def test_integral_step_closed_forms():
-    # antiderivative towers pinned at 0, depths 1, 2 and 3
-    towers = {
-        SIN: (
-            lambda x: 1.0 - math.cos(x),
-            lambda x: x - math.sin(x),
-            lambda x: x * x / 2.0 + math.cos(x) - 1.0,
-        ),
-        # logistic a=1: u = x - x^2
-        LOG1: (
-            lambda x: x**2 / 2.0 - x**3 / 3.0,
-            lambda x: x**3 / 6.0 - x**4 / 12.0,
-            lambda x: x**4 / 24.0 - x**5 / 60.0,
-        ),
-    }
-    for u, closed_forms in towers.items():
+    for u, closed_forms in INTEGRAL_TOWERS.items():
         for depth, closed in enumerate(closed_forms, start=1):
             for x in (-2.5, -1.5, -0.5, 0.25, 1.0, 2.0, 2.5):
                 out = integral_step(x, u, depth)
                 assert out.ok
                 assert abs(out.value - closed(x)) <= 1e-12, (u.name, depth, x)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    st.floats(-3.0, 3.0).filter(lambda x: x != 0.0),
+    st.integers(1, 3),
+    st.sampled_from(list(INTEGRAL_TOWERS)),
+)
+def test_integral_step_matches_closed_forms_at_drawn_points(x, depth, u):
+    out = integral_step(x, u, depth)
+    assert out.ok
+    assert abs(out.value - INTEGRAL_TOWERS[u][depth - 1](x)) <= 1e-12
+
+
+def test_integral_step_evaluation_count():
+    # one bisection of a 15-point panel is 45 evaluations; the Simpson
+    # reference rule needs up to about 1,900 on these inputs
+    for u in INTEGRAL_TOWERS:
+        calls = []
+
+        def counted(t, value=u.value):
+            calls.append(t)
+            return value(t)
+
+        counting = IterationMap(u.name, counted)
+        for depth in (1, 2, 3):
+            for k in range(-30, 31):
+                if k:
+                    calls.clear()
+                    assert integral_step(k / 10, counting, depth).ok
+                    assert len(calls) <= 45, (u.name, depth, k)
+
+
+def test_integral_step_relative_accuracy_near_zero():
+    # the second h_3 iterate of the integral-chain demo; the Simpson
+    # reference rule is 1.5e-10 off here, which its absolute budget allows
+    x = 0.040302305868139716
+    series = sum((-1) ** j * x ** (2 * j + 4) / math.factorial(2 * j + 4) for j in range(6))
+    out = integral_step(x, SIN, 3)
+    assert out.ok
+    assert abs(out.value - series) <= 1e-14 * series
 
 
 def test_integral_step_edges():

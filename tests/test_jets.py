@@ -37,6 +37,16 @@ def test_sum_with_constant():
     assert y.as_tuple() == (4.0, 1.0, 0.0)
 
 
+def test_curvature_cross_term_does_not_overflow_early():
+    # 2 * v1 alone overflows; the product v1 * v1' is 0 and so is the term
+    a = Jet2(1.0, 1e308, 0.0)
+    expected = (0.5, 5e307, 0.0)
+    assert (a * 0.5).as_tuple() == expected
+    assert (0.5 * a).as_tuple() == expected
+    assert (a * const(0.5)).as_tuple() == expected
+    assert (a / const(1.0)).as_tuple() == (1.0, 1e308, 0.0)
+
+
 def test_quotient_by_constant():
     y = lift(2.0) / const(2.0)
     assert y.as_tuple() == (1.0, 0.5, 0.0)
