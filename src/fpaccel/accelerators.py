@@ -70,7 +70,8 @@ class Status(str, Enum):
 
     A step reports OK, CONVERGED (its input is already fixed), SINGULAR,
     NONFINITE or DOMAIN (the map left its real domain); a run can also end
-    DIVERGED or MAX_ITER, and a transform END_OF_INPUT.  Text output uses
+    DIVERGED or MAX_ITER, and a transform END_OF_INPUT.  SINGULAR also
+    covers a quadrature that cannot meet its budget.  Text output uses
     ``member.value``, since ``str(member)`` differs across Python versions.
     """
 
@@ -84,13 +85,20 @@ class Status(str, Enum):
     END_OF_INPUT = "end_of_input"
 
 
-# Exceptions a step may raise on a bad point; error_status names the stop.
-# SingularJetError is a ZeroDivisionError subclass.
-STEP_ERRORS = (OverflowError, ZeroDivisionError, JetDomainError)
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+# Exceptions a map or step may raise on a bad point; error_status names the
+# stop.  SingularJetError is a ZeroDivisionError subclass.
+STEP_ERRORS = (OverflowError, ZeroDivisionError, JetDomainError, QuadratureError)
 
 
 def error_status(exc: BaseException) -> Status:
-    """Status for one of :data:`STEP_ERRORS`: NONFINITE, DOMAIN or SINGULAR."""
+    """Status for one of :data:`STEP_ERRORS`: NONFINITE, DOMAIN or SINGULAR.
+
+    SINGULAR also covers a quadrature that cannot meet its budget.
+    """
     if isinstance(exc, OverflowError):
         return Status.NONFINITE
     return Status.DOMAIN if isinstance(exc, JetDomainError) else Status.SINGULAR
@@ -113,10 +121,6 @@ class StepOutcome(NamedTuple):
 
 
 StepFunction = Callable[[Scalar], StepOutcome]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 def _nan_like(x: Scalar) -> Scalar:
@@ -380,7 +384,9 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
     (:func:`adaptive_gauss_kronrod`, absolute budget QUAD_TOL).  For a
     map g with fixed point 0 the repeated averaging flattens the
     residual, one contact order per level.  Real arguments only;
-    ``depth`` is 1, 2 or 3.
+    ``depth`` is 1, 2 or 3.  Where the budget cannot be met, such as far
+    from 0 on ``sin``, it raises :class:`QuadratureError`, one of
+    :data:`STEP_ERRORS`.
     """
     if isinstance(x, complex):
         raise ValueError("integral step handles real points only")

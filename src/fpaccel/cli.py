@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .accelerators import (
     DEFAULT_TOL,
-    QuadratureError,
     Status,
     compose_step,
     first_newton_step,
@@ -281,24 +280,17 @@ _SUITES = {
 
 
 def _table3_checks(columns: dict) -> list:
-    checks = []
-    plain = columns.get("plain")
-    std = columns.get("standard")
-    if plain is not None:
-        checks.append(
-            ("plain stops non-finite", plain.stop_reason == "nonfinite", f"stop={plain.stop_reason}")
-        )
-        checks.append(
-            ("plain keeps 4 finite points", len(plain.values) == 4, f"{len(plain.values)} points")
-        )
-        big = len(plain.values) >= 4 and abs(plain.values[3]) > 1e30
-        mag = abs(plain.values[3]) if len(plain.values) >= 4 else float("nan")
-        checks.append(("plain beyond 1e30 by step 3", big, f"|y3|={mag:.3g}"))
-    if std is not None:
-        hit = len(std.values) >= 6 and abs(std.values[5] - 2.0) <= 1e-9
-        err = abs(std.values[5] - 2.0) if len(std.values) >= 6 else float("nan")
-        checks.append(("standard lands within 1e-9 of 2", hit, f"|z5-2|={err:.3g}"))
-    return checks
+    plain, std = columns["plain"], columns["standard"]
+    n_plain = len(plain.values)
+    # a missing point reads nan, which fails its comparison
+    mag = abs(plain.values[3]) if n_plain >= 4 else float("nan")
+    err = abs(std.values[5] - 2.0) if len(std.values) >= 6 else float("nan")
+    return [
+        ("plain stops non-finite", plain.stop_reason == "nonfinite", f"stop={plain.stop_reason}"),
+        ("plain keeps 4 finite points", n_plain == 4, f"{n_plain} points"),
+        ("plain beyond 1e30 by step 3", mag > 1e30, f"|y3|={mag:.3g}"),
+        ("standard lands within 1e-9 of 2", err <= 1e-9, f"|z5-2|={err:.3g}"),
+    ]
 
 
 _EXTRA_CHECKS = {"table3": _table3_checks}
@@ -397,7 +389,7 @@ def main(argv: Optional[list] = None) -> int:
         exp = run_experiment(prob, methods, x0, args.max_iter, args.tol)
         print(render(exp, args.format))
         return 0
-    except (ValueError, QuadratureError) as e:  # UsageError, CorpusError, bad method arguments
+    except ValueError as e:  # UsageError, CorpusError, bad method arguments
         print(f"error: {e}", file=sys.stderr)
         return 2
 

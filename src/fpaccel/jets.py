@@ -22,14 +22,14 @@ signed zeros included:
 >>> (Jet2(1.0, -0.0, -0.0) + 1.0).as_tuple()
 (2.0, 0.0, 0.0)
 
-The elementary functions (:func:`sin`, :func:`cos`, :func:`exp`,
-:func:`log`, :func:`sqrt`, :func:`pow_real`) also accept a bare float or
-complex.  On a scalar they return the value alone, after the same domain
-checks as on a jet, so one function body serves both evaluations: run on
-``lift(x)`` it gives the jet, run on ``x`` it gives exactly that jet's
-``v0``.  Such a body raises a fractional power with :func:`pow_real`, not
-``**``: on a bare negative float ``**`` returns a complex number where
-:func:`pow_real` raises :class:`JetDomainError`.
+The elementary functions (:func:`sin`, :func:`cos`, :func:`exp` and
+:func:`pow_real`) also accept a bare float or complex.  On a scalar they
+return the value alone, after the same domain checks as on a jet, so one
+function body serves both evaluations: run on ``lift(x)`` it gives the
+jet, run on ``x`` it gives exactly that jet's ``v0``.  Such a body
+raises a fractional power with :func:`pow_real`, not ``**``: on a bare
+negative float ``**`` returns a complex number where :func:`pow_real`
+raises :class:`JetDomainError`.
 
 >>> sin(0.5) == sin(lift(0.5)).v0
 True
@@ -58,10 +58,8 @@ __all__ = [
     "exp",
     "is_finite",
     "lift",
-    "log",
     "pow_real",
     "sin",
-    "sqrt",
 ]
 
 
@@ -262,42 +260,6 @@ def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
     except ValueError:
         raise OverflowError("exp of an infinite argument") from None
     return _chain(a, e, e, e)
-
-
-def log(a: Jet2 | Scalar) -> Jet2 | Scalar:
-    """Natural logarithm (principal branch for complex arguments)."""
-    jet = isinstance(a, Jet2)
-    z = a.v0 if jet else a
-    if isinstance(z, complex):
-        if z == 0:
-            raise JetDomainError("log of zero")
-        f0 = cmath.log(z)
-    else:
-        if z <= 0.0:
-            raise JetDomainError(f"log of non-positive real {z!r}")
-        f0 = math.log(z)
-    if not jet:
-        return f0
-    inv = 1.0 / z
-    return _chain(a, f0, inv, -inv * inv)
-
-
-def sqrt(a: Jet2 | Scalar) -> Jet2 | Scalar:
-    jet = isinstance(a, Jet2)
-    z = a.v0 if jet else a
-    if isinstance(z, complex):
-        if z == 0:
-            raise JetDomainError("sqrt of complex zero has no finite jet")
-        f0 = cmath.sqrt(z)
-    else:
-        if z < 0.0:
-            raise JetDomainError(f"sqrt of negative real {z!r}")
-        if z == 0.0:
-            return _pow_factors(a, 0.0, math.inf, -math.inf) if jet else 0.0
-        f0 = math.sqrt(z)
-    if not jet:
-        return f0
-    return _chain(a, f0, 0.5 / f0, -0.25 / (z * f0))
 
 
 def _pow_factors(a: Jet2, f0: Scalar, d1: Scalar, d2: Scalar) -> Jet2:

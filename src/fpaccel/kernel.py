@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .accelerators import first_newton_step
+from .accelerators import STEP_ERRORS, first_newton_step
 from .jets import Scalar, is_finite
 
 AFFINE_RESIDUAL_TOL = 1e-9
@@ -79,8 +79,9 @@ def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
     """Decide membership by checking the first Newton step for straightness.
 
     Samples 9 points (evenly spaced on an interval for real centers, on a
-    circle for complex ones), evaluates the first step at each, and
-    least-squares fits v = a x + b.  The fit residual against
+    circle for complex ones), evaluates the first step at each, skipping
+    one that raises one of ``STEP_ERRORS``, and least-squares fits
+    v = a x + b.  The fit residual against
     ``AFFINE_RESIDUAL_TOL * (1 + |b|)`` decides membership; on success
     the fixed point is b/(1 - a) and the exponent 1/(1 - a).
     """
@@ -95,7 +96,7 @@ def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
     for p in pts:
         try:
             out = first_newton_step(p, u.at(p))
-        except (ArithmeticError, ValueError):
+        except STEP_ERRORS:
             continue
         if out.ok:
             xs.append(p)
@@ -129,7 +130,8 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
     probes; membership needs the worst log-space misfit at or below
     ``FAMILY_RESIDUAL_TOL`` and beta > 1 (a fit with beta <= 1 is
     reported with member False: the fixed point is not flat).  Probes at
-    the fixed point or with vanishing residual are skipped.
+    the fixed point, with vanishing residual or where the map raises one
+    of ``STEP_ERRORS`` are skipped.
     """
     logr, logd, signs, sides = [], [], [], []
     for p in probes:
@@ -140,7 +142,7 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
             continue
         try:
             d = u.value(p) - p
-        except (ArithmeticError, ValueError):
+        except STEP_ERRORS:
             continue
         if not is_finite(d) or d == 0.0:
             continue

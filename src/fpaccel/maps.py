@@ -101,10 +101,6 @@ class ProblemSpec:
 # ---------- map constructors ----------
 
 
-def _sin_fn(x: Jet2 | Scalar) -> Jet2 | Scalar:
-    return jets.sin(x)
-
-
 def _logistic_fn(a: float) -> Callable[[Jet2 | Scalar], Jet2 | Scalar]:
     def u(x: Jet2 | Scalar) -> Jet2 | Scalar:
         return a * x * (1.0 - x)
@@ -219,7 +215,7 @@ _KVB_GOLDEN = (
 
 def _build_sin(params: dict) -> ProblemSpec:
     _reject_params("sin", params)
-    return ProblemSpec(IterationMap("sin", _sin_fn), 3.0, 0.0, _SIN_GOLDEN)
+    return ProblemSpec(IterationMap("sin", jets.sin), 3.0, 0.0, _SIN_GOLDEN)
 
 
 def _build_logistic(params: dict) -> ProblemSpec:

@@ -21,6 +21,7 @@ from fpaccel.accelerators import (
     standard_step,
     steffensen_step,
 )
+from fpaccel.engine import iterate
 from fpaccel.jets import Jet2, is_finite
 from fpaccel.maps import IterationMap, corpus_lookup
 
@@ -282,6 +283,15 @@ def test_integral_step_relative_accuracy_near_zero():
     out = integral_step(x, SIN, 3)
     assert out.ok
     assert abs(out.value - series) <= 1e-14 * series
+
+
+def test_quadrature_failure_ends_the_run_singular():
+    # 1e300 is far beyond what the absolute budget can reach by bisection
+    with pytest.raises(QuadratureError):
+        integral_step(1e300, SIN, 2)
+    tr = iterate(lambda x: integral_step(x, SIN, 2), 1e300, 3)
+    assert tr.stop_reason is Status.SINGULAR
+    assert tr.points == (1e300,)
 
 
 def test_integral_step_edges():

@@ -201,8 +201,6 @@ def test_jet_derivatives_against_differences():
         (lambda a: jets.sin(a), (-3.0, 3.0)),
         (lambda a: jets.cos(a), (-3.0, 3.0)),
         (lambda a: jets.exp(a), (-2.0, 2.0)),
-        (lambda a: jets.log(a), (0.5, 5.0)),
-        (lambda a: jets.sqrt(a), (0.5, 5.0)),
         (lambda a: pow_real(a, 1.7), (0.5, 4.0)),
         (lambda a: jets.sin(a) * jets.exp(a) / (a + 2.0) - jets.cos(a * a), (-1.5, 1.5)),
     ]

@@ -204,7 +204,6 @@ def test_unknown_suite(capsys):
         ["--problem", "logistic", "--param", "a="],
         ["--problem", "logistic", "--param", "a=1,2"],
         ["--problem", "power_family", "--param", "alpha=1,2", "--param", "r=3"],
-        ["--problem", "sin", "--method", "integral:2", "--x0", "1e300"],
         ["--problem", "sin", "--method", "aitken:3"],
         ["--problem", "sin", "--method", "theta2:x"],
         ["--problem", "sin", "--method", "w_transform:9"],
@@ -359,6 +358,18 @@ def test_infinite_argument_ends_every_column_nonfinite(capsys):
         assert doc["stop_reason"] == "nonfinite"
         assert [row["status"] for row in doc["rows"]] == ["ok", "nonfinite", "nonfinite"]
         assert (doc["rows"][0]["re"], doc["rows"][0]["im"]) == (1e308, 1e308)
+
+
+def test_quadrature_failure_ends_its_column_singular(capsys):
+    # integral:3 cannot meet its absolute budget at 55; the plain column survives
+    argv = ["--problem", "sin", "--x0", "55", "--method", "plain", "--method", "integral:3",
+            "--max-iter", "3", "--format", "json"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == ""
+    plain, integ = json.loads(out)
+    assert len(plain["rows"]) == 4 and plain["stop_reason"] == "max_iter"
+    assert [row["re"] for row in integ["rows"]] == [55.0]
+    assert integ["stop_reason"] == "singular"
 
 
 @pytest.mark.parametrize("x0", ["0.5", "0.9"])

@@ -111,26 +111,6 @@ def test_division_by_zero_jet():
         1.0 / lift(0.0)
 
 
-def test_log_sqrt_domains():
-    with pytest.raises(JetDomainError):
-        jets.log(lift(0.0))
-    with pytest.raises(JetDomainError):
-        jets.log(lift(-2.0))
-    with pytest.raises(JetDomainError):
-        jets.sqrt(lift(-1.0))
-    with pytest.raises(JetDomainError):
-        jets.log(lift(0j))
-    with pytest.raises(JetDomainError):
-        jets.sqrt(lift(0j))
-
-
-def test_sqrt_zero_real_has_infinite_slope():
-    j = jets.sqrt(lift(0.0))
-    assert j.v0 == 0.0
-    assert j.v1 == math.inf
-    assert not is_finite(j.v1)
-
-
 def test_pow_zero_base_edges():
     assert pow_real(lift(0.0), 2.0).as_tuple() == (0.0, 0.0, 2.0)
     assert pow_real(lift(0.0), 1.0).as_tuple() == (0.0, 1.0, 0.0)
@@ -151,8 +131,6 @@ _SCALAR_CASES = [
     ("sin", jets.sin, math.sin, cmath.sin),
     ("cos", jets.cos, math.cos, cmath.cos),
     ("exp", jets.exp, math.exp, cmath.exp),
-    ("log", jets.log, math.log, cmath.log),
-    ("sqrt", jets.sqrt, math.sqrt, cmath.sqrt),
     ("pow_2.5", lambda a: pow_real(a, 2.5), lambda t: math.pow(t, 2.5), lambda z: z**2.5),
     ("pow_3", lambda a: pow_real(a, 3), lambda t: math.pow(t, 3.0), lambda z: z**3.0),
 ]
@@ -179,16 +157,11 @@ def test_elementary_scalar_domain_errors():
         lambda: pow_real(-0.5, 1.5),
         lambda: pow_real(0.0, -1.0),
         lambda: pow_real(0j, 0.5),
-        lambda: jets.log(0.0),
-        lambda: jets.log(0j),
-        lambda: jets.sqrt(-1.0),
-        lambda: jets.sqrt(0j),
     ):
         with pytest.raises(JetDomainError):
             call()
     assert pow_real(0.0, 0.0) == 1.0
     assert pow_real(0j, 2.0) == 0j and type(pow_real(0j, 2.0)) is complex
-    assert jets.sqrt(-0.0) == 0.0 and math.copysign(1.0, jets.sqrt(-0.0)) == 1.0
 
 
 _INF = math.inf
@@ -231,10 +204,6 @@ def test_complex_elementary_closed_forms():
     assert abs(p.v0 - z**2.5) < 1e-15
     assert abs(p.v1 - 2.5 * z**1.5) < 1e-15
     assert abs(p.v2 - 2.5 * 1.5 * z**0.5) < 1e-15
-    lg = jets.log(lift(z))
-    assert lg.v0 == cmath.log(z)
-    assert abs(lg.v1 - 1.0 / z) < 1e-16
-    assert abs(lg.v2 + 1.0 / (z * z)) < 1e-15
 
 
 def test_real_axis_complex_agrees_bitwise():
@@ -262,8 +231,6 @@ _FD_CASES = [
     ("sin", lambda a: jets.sin(a), (-3.0, 3.0)),
     ("cos", lambda a: jets.cos(a), (-3.0, 3.0)),
     ("exp", lambda a: jets.exp(a), (-2.0, 2.0)),
-    ("log", lambda a: jets.log(a), (0.5, 5.0)),
-    ("sqrt", lambda a: jets.sqrt(a), (0.5, 5.0)),
     ("pow_1.7", lambda a: pow_real(a, 1.7), (0.5, 4.0)),
     (
         "composite",

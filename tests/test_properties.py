@@ -22,7 +22,7 @@ from fpaccel import (
     theta2,
     w_transform,
 )
-from fpaccel.accelerators import DEFAULT_TOL, STEP_ERRORS, StepOutcome
+from fpaccel.accelerators import DEFAULT_TOL, STEP_ERRORS, StepOutcome, integral_step
 from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json
 from fpaccel.jets import Jet2, pow_real
 
@@ -103,6 +103,24 @@ def test_steps_keep_the_outcome_contract(u, x):
             assert not is_finite(val), (name, x, out)
         else:
             assert status in (Status.CONVERGED, Status.SINGULAR) and val == x, (name, x, out)
+
+
+# the real maps that integral_step runs on
+_INTEGRAND_MAPS = _CORPUS_MAPS[:5]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.floats(allow_nan=False), st.integers(1, 3), st.sampled_from(_INTEGRAND_MAPS))
+def test_integral_step_raises_only_step_errors(x, depth, u):
+    # a quadrature that cannot meet its budget is a bad point like any other
+    try:
+        out = integral_step(x, u, depth)
+    except STEP_ERRORS:
+        return
+    assert type(out) is StepOutcome
+    assert out.status in (Status.OK, Status.NONFINITE), (x, depth, u.name, out)
+    if out.ok:
+        assert is_finite(out.value), (x, depth, u.name, out)
 
 
 _H = 1e-20
