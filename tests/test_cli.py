@@ -204,6 +204,7 @@ def test_unknown_suite(capsys):
         ["--problem", "logistic", "--param", "a="],
         ["--problem", "logistic", "--param", "a=1,2"],
         ["--problem", "power_family", "--param", "alpha=1,2", "--param", "r=3"],
+        ["--problem", "sin", "--method", "compose:standard:x"],
         ["--problem", "sin", "--method", "aitken:3"],
         ["--problem", "sin", "--method", "theta2:x"],
         ["--problem", "sin", "--method", "w_transform:9"],
