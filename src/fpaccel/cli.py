@@ -169,6 +169,9 @@ def run_experiment(
 
 
 # ---------- rendering ----------
+# A column at a time, since Python work per value costs more than its text.
+
+_OK, _PAD = Status.OK.value, Status.NONFINITE.value  # value rows, Indeterminate pad rows
 
 
 def _fmt(v: Scalar) -> str:
@@ -177,88 +180,85 @@ def _fmt(v: Scalar) -> str:
     return f"{v:.6g}"
 
 
-def _rows(c: MethodColumn):
-    """``(n, value, status)`` per row; value None on an Indeterminate pad row.
+def _split(values: tuple):
+    """``(re, im)`` float lists of a column's values; im is None for a real column."""
+    if not any(map(isinstance, values, repeat(complex))):
+        return list(map(float, values)), None
+    re = [v.real if isinstance(v, complex) else float(v) for v in values]
+    return re, [v.imag if isinstance(v, complex) else 0.0 for v in values]
 
-    Value rows read ``ok``, the last one its column's stop reason if that is
-    ``converged`` or ``diverged``, the two that end on the point they name.
-    """
-    end = c.offset + len(c.values)
-    ok = Status.OK.value
-    on_point = c.stop_reason in (Status.CONVERGED.value, Status.DIVERGED.value)
-    statuses = chain(repeat(ok, len(c.values) - 1), (c.stop_reason if on_point else ok,))
-    return chain(
-        zip(range(c.offset, end), c.values, statuses),
-        zip(range(end, c.pad_to), repeat(None), repeat(Status.NONFINITE.value)),
-    )
+
+def _mark_last(rows: list, c: MethodColumn, ok: str, encode=str) -> None:
+    """Give the last value row a converged or diverged stop reason: both name its point."""
+    if c.values and c.stop_reason in (Status.CONVERGED.value, Status.DIVERGED.value):
+        head, _, tail = rows[-1].rpartition(ok)  # the status is a row's last string
+        rows[-1] = head + encode(c.stop_reason) + tail
 
 
 def render_markdown(exp: Experiment) -> str:
-    grid = [[""] * len(exp.columns) for _ in range(exp.n_rows)]
-    for j, c in enumerate(exp.columns):
-        for n, v, _ in _rows(c):
-            grid[n][j] = "Indeterminate" if v is None else _fmt(v)
+    columns = []
+    for c in exp.columns:
+        fmt = _fmt if any(map(isinstance, c.values, repeat(complex))) else "{:.6g}".format
+        cells = [""] * c.offset + list(map(fmt, c.values))
+        cells += ["Indeterminate"] * (c.pad_to - len(cells))
+        columns.append(cells + [""] * (exp.n_rows - len(cells)))
     head = "| n | " + " | ".join(c.method for c in exp.columns) + " |"
     rule = "|---:|" + "|".join("---" for _ in exp.columns) + "|"
-    rows = (f"| {r} | " + " | ".join(cells) + " |" for r, cells in enumerate(grid))
-    return "\n".join(chain((head, rule), rows))
+    rows = zip(*columns) if columns else repeat((), exp.n_rows)
+    return "\n".join(chain((head, rule), (f"| {n} | {' | '.join(r)} |" for n, r in enumerate(rows))))
 
 
 def render_csv(exp: Experiment) -> str:
+    """``n,method,re,im,status`` rows, a column per comprehension: ``repr`` of each float part."""
     lines = ["n,method,re,im,status"]
     for c in exp.columns:
-        for n, v, s in _rows(c):
-            if v is None:
-                lines.append(f"{n},{c.method},,,{s}")
-            elif isinstance(v, complex):
-                lines.append(f"{n},{c.method},{v.real!r},{v.imag!r},{s}")
-            else:
-                lines.append(f"{n},{c.method},{float(v)!r},0.0,{s}")
+        m, end = c.method, c.offset + len(c.values)
+        re, im = _split(c.values)
+        ims = repeat("0.0") if im is None else map(repr, im)
+        lines += [f"{n},{m},{r!r},{i},{_OK}" for n, r, i in zip(range(c.offset, end), re, ims)]
+        _mark_last(lines, c, _OK)
+        lines += [f"{n},{m},,,{_PAD}" for n in range(end, c.pad_to)]
     return "\n".join(lines)
 
 
 _JSON_DOC = '  {\n    "problem": %s,\n    "method": %s,\n    "rows": [%s],\n    "stop_reason": %s\n  }'
-_JSON_ROW = '\n      {\n        "n": %d,\n        "re": %s,\n        "im": %s,\n        "status": %s\n      }'
+_JSON_ROW, _JSON_OK = '\n      {\n        "n": ', _json_str(_OK)
+_JSON_PAD_ROW = _JSON_ROW + '%d,\n        "re": null,\n        "im": null,\n        "status": ' + _json_str(_PAD) + "\n      }"
 
 
-def _json_float(x: float) -> str:
-    return repr(x) if isfinite(x) else json.dumps(x)  # NaN, Infinity, -Infinity
+def _json_floats(xs: list):
+    # json.dumps writes a finite float as repr does, and NaN, Infinity, -Infinity
+    return map(repr if all(map(isfinite, xs)) else json.dumps, xs)
 
 
 def render_json(exp: Experiment) -> str:
     """One document per column, ``{problem, method, rows, stop_reason}``.
 
-    The text is exactly that of ``json.dumps(docs, indent=2)`` over those
-    documents, each row ``{"n", "re", "im", "status"}`` with null parts on
-    an Indeterminate pad row, but filled in from fixed templates: the
-    indenting encoder is pure Python and costs several times the run.
+    Exactly the text of ``json.dumps(docs, indent=2)``, each row ``{"n", "re",
+    "im", "status"}`` with null parts on a pad row, but written a column at a
+    time, one f-string per row: the indenting encoder is pure Python and slow.
     """
     docs = []
     for c in exp.columns:
-        rows = []
-        for n, v, s in _rows(c):
-            if v is None:
-                re = im = "null"
-            elif isinstance(v, complex):
-                re, im = _json_float(v.real), _json_float(v.imag)
-            else:
-                re, im = _json_float(float(v)), "0.0"
-            rows.append(_JSON_ROW % (n, re, im, _json_str(s)))
+        end = c.offset + len(c.values)
+        re, im = _split(c.values)
+        ims = repeat("0.0") if im is None else _json_floats(im)
+        rows = [
+            f'{_JSON_ROW}{n},\n        "re": {r},\n        "im": {i},\n        "status": {_JSON_OK}\n      }}'
+            for n, r, i in zip(range(c.offset, end), _json_floats(re), ims)
+        ]
+        _mark_last(rows, c, _JSON_OK, _json_str)
+        rows += [_JSON_PAD_ROW % n for n in range(end, c.pad_to)]
         body = ",".join(rows) + "\n    " if rows else ""
-        docs.append(
-            _JSON_DOC % (_json_str(exp.problem), _json_str(c.method), body, _json_str(c.stop_reason))
-        )
+        docs.append(_JSON_DOC % (_json_str(exp.problem), _json_str(c.method), body, _json_str(c.stop_reason)))
     return "[\n" + ",\n".join(docs) + "\n]" if docs else "[]"
 
 
 def render(exp: Experiment, fmt: str) -> str:
-    if fmt == "markdown":
-        return render_markdown(exp)
-    if fmt == "csv":
-        return render_csv(exp)
-    if fmt == "json":
-        return render_json(exp)
-    raise UsageError(f"unknown format {fmt!r}")
+    renderer = {"markdown": render_markdown, "csv": render_csv, "json": render_json}.get(fmt)
+    if renderer is None:
+        raise UsageError(f"unknown format {fmt!r}")
+    return renderer(exp)
 
 
 # ---------- golden suites ----------

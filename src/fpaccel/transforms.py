@@ -64,13 +64,13 @@ def aitken_delta2(seq) -> IterationTrace:
     out = []
     stop = None
     try:  # abs() in _singular overflows on a finite complex term
-        for n in range(len(s) - 2):
-            d1 = s[n + 1] - s[n]
-            d2 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-            if _singular(d2, s[n]):
+        for s0, s1, s2 in zip(s, s[1:], s[2:]):
+            d1 = s1 - s0
+            d2 = s2 - 2.0 * s1 + s0
+            if _singular(d2, s0):
                 stop = Status.SINGULAR
                 break
-            out.append(s[n] - d1 * d1 / d2)
+            out.append(s0 - d1 * d1 / d2)
     except STEP_ERRORS as exc:
         stop = error_status(exc)
     return _trace(out, stop or tr.stop_reason)
@@ -92,21 +92,21 @@ def theta2(seq) -> IterationTrace:
     t = []
     stop = None
     try:  # abs() overflows on a finite complex term; each t kept is below 1e12
-        for n in range(len(s) - 1):
-            d = s[n + 1] - s[n]
-            if _singular(d, s[n]):
+        for s0, s1 in zip(s, s[1:]):
+            d = s1 - s0
+            if _singular(d, s0):
                 stop = Status.SINGULAR
                 break
             t.append(1.0 / d)
     except STEP_ERRORS as exc:
         stop = error_status(exc)
     out = []
-    for n in range(max(0, min(len(s) - 3, len(t) - 2))):
-        den = t[n + 2] - 2.0 * t[n + 1] + t[n]
-        if _singular(den, t[n + 1]):
+    for s1, s2, t0, t1, t2 in zip(s[1:], s[2:], t, t[1:], t[2:]):
+        den = t2 - 2.0 * t1 + t0
+        if _singular(den, t1):
             stop = Status.SINGULAR
             break
-        out.append(s[n + 1] + (s[n + 2] - s[n + 1]) * (t[n + 2] - t[n + 1]) / den)
+        out.append(s1 + (s2 - s1) * (t2 - t1) / den)
     return _trace(out, stop or tr.stop_reason)
 
 

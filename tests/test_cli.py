@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from render_reference import reference_csv, reference_json
+from render_reference import reference_csv, reference_json, reference_markdown
 
 from fpaccel import Status
 from fpaccel.cli import (
@@ -14,6 +14,7 @@ from fpaccel.cli import (
     render,
     render_csv,
     render_json,
+    render_markdown,
     run_experiment,
     run_suite,
 )
@@ -291,6 +292,7 @@ def test_renders_match_reference_encoders(problem, params, x0):
     real_only = {"integral"} if problem == "kvb_complex" else set()
     specs = [_spec(name) for name in METHODS if name not in real_only]
     exp = run_experiment(corpus_lookup(problem, **params), specs, x0, 12)
+    assert render_markdown(exp) == reference_markdown(exp)
     assert render_json(exp) == reference_json(exp)
     assert render_csv(exp) == reference_csv(exp)
 
@@ -300,9 +302,25 @@ def test_renders_of_empty_columns_match_reference_encoders():
         Experiment("sin", [], 0),
         Experiment("sin", [MethodColumn("aitken", 0, (), Status.END_OF_INPUT.value)], 0),
     ):
+        assert render_markdown(exp) == reference_markdown(exp)
         assert render_json(exp) == reference_json(exp)
         assert render_csv(exp) == reference_csv(exp)
     assert render_json(Experiment("sin", [], 0)) == "[]"
+    # no columns but a row count still gives that many numbered rows
+    rowed = Experiment("sin", [], 2)
+    assert render_markdown(rowed) == reference_markdown(rowed)
+
+
+def test_int_start_renders_as_int_in_markdown_and_float_elsewhere():
+    # iterate keeps an int x0 as the column's first point
+    exp = run_experiment(corpus_lookup("sin"), ["plain", "aitken"], 1, 4)
+    assert type(exp.columns[0].values[0]) is int
+    assert render_markdown(exp).splitlines()[2] == "| 0 | 1 |  |"
+    assert render_csv(exp).splitlines()[1] == "0,plain,1.0,0.0,ok"
+    assert '"n": 0,\n        "re": 1.0,\n        "im": 0.0,' in render_json(exp)
+    assert render_markdown(exp) == reference_markdown(exp)
+    assert render_json(exp) == reference_json(exp)
+    assert render_csv(exp) == reference_csv(exp)
 
 
 _STATUS_TEXT = {s.value for s in Status}

@@ -9,7 +9,7 @@ import operator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from render_reference import reference_csv, reference_json
+from render_reference import reference_csv, reference_json, reference_markdown
 
 from fpaccel import (
     IterationTrace,
@@ -23,7 +23,7 @@ from fpaccel import (
     w_transform,
 )
 from fpaccel.accelerators import DEFAULT_TOL, STEP_ERRORS, StepOutcome, integral_step
-from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json
+from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json, render_markdown
 from fpaccel.jets import Jet2, pow_real
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -171,11 +171,15 @@ _any_float = st.one_of(
     st.sampled_from((float("inf"), -float("inf"), float("nan"), -0.0, 5e-324)), st.floats()
 )
 _names = st.text(st.one_of(st.sampled_from('"\\/\n\x00\x7fé∞\U0001d400'), st.characters()), max_size=6)
+# ints and bools too: a plain column starts from the x0 it was given
+_any_value = st.one_of(
+    _any_float, st.builds(complex, _any_float, _any_float), st.integers(-(10**20), 10**20), st.booleans()
+)
 _columns = st.builds(
     MethodColumn,
     _names,
     st.integers(0, 3),
-    st.lists(st.one_of(_any_float, st.builds(complex, _any_float, _any_float)), max_size=6).map(tuple),
+    st.lists(_any_value, max_size=6).map(tuple),
     st.one_of(st.sampled_from([s.value for s in Status]), _names),
     st.integers(0, 10),
 )
@@ -184,7 +188,9 @@ _columns = st.builds(
 @_SETTINGS
 @given(_names, st.lists(_columns, max_size=3))
 def test_renders_of_drawn_columns_match_reference_encoders(problem, columns):
-    exp = Experiment(problem, columns, 0)
+    n_rows = max((max(c.offset + len(c.values), c.pad_to) for c in columns), default=0)
+    exp = Experiment(problem, columns, n_rows)  # as run_experiment counts them
+    assert render_markdown(exp) == reference_markdown(exp)
     assert render_json(exp) == reference_json(exp)
     assert render_csv(exp) == reference_csv(exp)
 
