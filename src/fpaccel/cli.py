@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
@@ -110,8 +109,7 @@ def _lookup(name: str, args) -> Method:
     return method
 
 
-@dataclass
-class MethodColumn:
+class MethodColumn(NamedTuple):
     method: str
     offset: int
     values: tuple
@@ -119,8 +117,7 @@ class MethodColumn:
     pad_to: int = 0  # pad rows up to this count with Indeterminate
 
 
-@dataclass
-class Experiment:
+class Experiment(NamedTuple):
     problem: str
     columns: list
     n_rows: int
@@ -264,8 +261,7 @@ def render(exp: Experiment, fmt: str) -> str:
 # ---------- golden suites ----------
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(NamedTuple):
     problem: str
     params: dict
     methods: tuple

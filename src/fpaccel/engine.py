@@ -11,8 +11,7 @@ known fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .accelerators import DEFAULT_TOL, STEP_ERRORS, Status, StepOutcome, _check_tol, error_status
 from .jets import Scalar, is_finite
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """A run of points plus why it ended.
 
     :func:`iterate` and every sequence transform return one.  Only finite
@@ -104,8 +102,7 @@ def iterate(
     return IterationTrace(tuple(points), reason)
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Classification of a trace's convergence behaviour.
 
     Verdicts: "exact" (an iterate hits the target to the last bit),

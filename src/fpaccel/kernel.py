@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .accelerators import STEP_ERRORS, first_newton_step
 from .jets import Scalar, is_finite
@@ -54,8 +53,7 @@ def _line_fit(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> tuple[Scalar, Scala
     return a, b, max(abs(y - (a * x + b)) for x, y in zip(xs, ys))
 
 
-@dataclass(frozen=True)
-class KernelVerdict:
+class KernelVerdict(NamedTuple):
     """Outcome of a membership test.
 
     ``evidence`` names which test produced the verdict

@@ -8,8 +8,7 @@ golden values the CLI suites check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import jets
 from .jets import Jet2, Scalar, lift
@@ -29,8 +28,7 @@ class CorpusError(ValueError):
     """Unknown problem name or invalid problem parameters."""
 
 
-@dataclass(frozen=True)
-class IterationMap:
+class IterationMap(NamedTuple):
     """A named self-map u.
 
     ``fn`` is the map body.  :meth:`at` calls it on a :class:`Jet2` and
@@ -51,8 +49,7 @@ class IterationMap:
         return self.fn(x + 0.0)
 
 
-@dataclass(frozen=True)
-class GoldenValue:
+class GoldenValue(NamedTuple):
     """One externally sourced reference cell for a method column.
 
     ``part`` selects the compared component of the iterate ("re" or "im");
@@ -62,7 +59,7 @@ class GoldenValue:
     """
 
     method: str
-    index: int
+    index: int  # shadows tuple.index; the row of the column to check
     expected: float
     part: str = "re"
     mode: str = "abs"
@@ -90,12 +87,11 @@ class GoldenValue:
         return ok, detail
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     map: IterationMap
     x0: Scalar
     x_star: Optional[Scalar] = None
-    golden: tuple[GoldenValue, ...] = field(default=())
+    golden: tuple[GoldenValue, ...] = ()
 
 
 # ---------- map constructors ----------
@@ -246,8 +242,7 @@ def _build_power_family(params: dict) -> ProblemSpec:
     r = float(r)
     if not 1.0 < r < math.inf:
         raise CorpusError("power_family needs a finite r > 1")
-    m = replace(
-        kernel_family_map(alpha, r, x_star),
+    m = kernel_family_map(alpha, r, x_star)._replace(
         name=f"power_family(alpha={alpha}, r={r}, x_star={x_star})",
     )
     return ProblemSpec(m, x_star + 0.25, x_star)

@@ -104,6 +104,7 @@ def test_kvb_first_iterate():
 def test_power_family_metadata():
     # u = x + 2 (0 - x)^3: contact order 3, third derivative 2 * 3! * (-1)^3
     m = corpus_lookup("power_family", alpha=2.0, r=3.0).map
+    assert m.name == "power_family(alpha=2.0, r=3.0, x_star=0.0)"
     assert m.at(0.0).v1 == 1.0 and m.at(0.0).v2 == 0.0
     h = 1e-3
     third = (m.at(h).v2 - m.at(-h).v2) / (2.0 * h)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from fpaccel.accelerators import Status, plain_step
+from fpaccel.cli import Experiment, MethodColumn, run_experiment
 from fpaccel.engine import IterationTrace, iterate
-from fpaccel.maps import IterationMap, corpus_lookup
+from fpaccel.kernel import KernelVerdict, affinity_test
+from fpaccel.maps import IterationMap, ProblemSpec, corpus_lookup
 from fpaccel.transforms import aitken_delta2, iterated_aitken, theta2, w_transform
 
 SIN = corpus_lookup("sin").map
+
+
+def _sin_experiment():
+    return run_experiment(corpus_lookup("sin"), ["plain"], None, 3)
 
 
 def _sin_iterates(n):
@@ -184,8 +190,18 @@ def test_w_transform_domain_error_truncates():
     assert out.stop_reason is Status.DOMAIN
 
 
-def test_transform_output_is_a_frozen_trace():
-    s = aitken_delta2(_sin_iterates(4))
-    assert isinstance(s, IterationTrace)
+@pytest.mark.parametrize(
+    "build, cls, field",
+    [
+        pytest.param(lambda: aitken_delta2(_sin_iterates(4)), IterationTrace, "points", id="trace"),
+        pytest.param(_sin_experiment, Experiment, "columns", id="experiment"),
+        pytest.param(lambda: _sin_experiment().columns[0], MethodColumn, "values", id="column"),
+        pytest.param(lambda: affinity_test(SIN, 0.3, 0.2), KernelVerdict, "member", id="kernel_verdict"),
+        pytest.param(lambda: corpus_lookup("sin"), ProblemSpec, "x0", id="problem_spec"),
+    ],
+)
+def test_records_are_immutable(build, cls, field):
+    record = build()
+    assert isinstance(record, cls)
     with pytest.raises(AttributeError):
-        s.points = ()
+        setattr(record, field, ())
