@@ -85,6 +85,13 @@ class Status(str, Enum):
     END_OF_INPUT = "end_of_input"
 
 
+# The members the steps return, bound once: on Python 3.11 a read of
+# ``Status.OK`` goes through ``EnumType.__getattr__``, ten times the cost of
+# reading a module global.
+_OK, _CONVERGED, _SINGULAR = Status.OK, Status.CONVERGED, Status.SINGULAR
+_NONFINITE, _DOMAIN = Status.NONFINITE, Status.DOMAIN
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
@@ -100,8 +107,8 @@ def error_status(exc: BaseException) -> Status:
     SINGULAR also covers a quadrature that cannot meet its budget.
     """
     if isinstance(exc, OverflowError):
-        return Status.NONFINITE
-    return Status.DOMAIN if isinstance(exc, JetDomainError) else Status.SINGULAR
+        return _NONFINITE
+    return _DOMAIN if isinstance(exc, JetDomainError) else _SINGULAR
 
 
 class StepOutcome(NamedTuple):
@@ -117,7 +124,7 @@ class StepOutcome(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.status is Status.OK
+        return self.status is _OK
 
 
 StepFunction = Callable[[Scalar], StepOutcome]
@@ -137,7 +144,7 @@ def _singular(den: Scalar, x: Scalar) -> bool:
 
 
 def _outcome(val: Scalar) -> StepOutcome:
-    return StepOutcome(val, Status.OK if is_finite(val) else Status.NONFINITE)
+    return StepOutcome(val, _OK if is_finite(val) else _NONFINITE)
 
 
 # ---------- Newton-style steps ----------
@@ -155,10 +162,10 @@ def combined_map_value(v_val: Scalar, v_slope: Scalar, x: Scalar) -> StepOutcome
     there; the standard and phi steps both end in this step.
     """
     if not (is_finite(v_val) and is_finite(v_slope)):
-        return StepOutcome(_nan_like(x), Status.NONFINITE)
+        return StepOutcome(_nan_like(x), _NONFINITE)
     den = 1.0 - v_slope
     if _singular(den, x):
-        return StepOutcome(x, Status.SINGULAR)
+        return StepOutcome(x, _SINGULAR)
     return _outcome((v_val - x * v_slope) / den)
 
 
@@ -172,20 +179,20 @@ def _first_newton(x: Scalar, u_jet: Jet2, tol: float) -> tuple:
     u0, u1, u2 = u_jet.v0, u_jet.v1, u_jet.v2
     zero = x * 0
     if not is_finite(u0):
-        return u0, Status.NONFINITE, zero
+        return u0, _NONFINITE, zero
     if _converged(x, u0, tol):
-        return x, Status.CONVERGED, zero
+        return x, _CONVERGED, zero
     if not (is_finite(u1) and is_finite(u2)):
-        return _nan_like(x), Status.NONFINITE, zero
+        return _nan_like(x), _NONFINITE, zero
     den = 1.0 - u1
     if _singular(den, x):
-        return x, Status.SINGULAR, zero
+        return x, _SINGULAR, zero
     diff = u0 - x
     val = x + diff / den
     slope = u2 * diff / (den * den)
     if not (is_finite(val) and is_finite(slope)):
-        return _nan_like(x), Status.NONFINITE, zero
-    return val, Status.OK, slope
+        return _nan_like(x), _NONFINITE, zero
+    return val, _OK, slope
 
 
 def first_newton_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutcome:
@@ -205,7 +212,7 @@ def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutco
     finite and non-negative, as for :func:`first_newton_step`.
     """
     val, status, slope = _first_newton(x, u_jet, tol)
-    if status is not Status.OK:
+    if status is not _OK:
         return StepOutcome(val, status)
     return combined_map_value(val, slope, x)
 
@@ -233,15 +240,15 @@ def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:
     """
     u1 = u.value(x)
     if not is_finite(u1):
-        return StepOutcome(u1, Status.NONFINITE)
+        return StepOutcome(u1, _NONFINITE)
     if _converged(x, u1, tol):
-        return StepOutcome(x, Status.CONVERGED)
+        return StepOutcome(x, _CONVERGED)
     u2 = u.value(u1)
     if not is_finite(u2):
-        return StepOutcome(u2, Status.NONFINITE)
+        return StepOutcome(u2, _NONFINITE)
     den = x - 2.0 * u1 + u2
     if _singular(den, x):
-        return StepOutcome(x, Status.SINGULAR)
+        return StepOutcome(x, _SINGULAR)
     diff = u1 - x
     return _outcome(x - diff * diff / den)
 
@@ -251,7 +258,7 @@ def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
     current = x
-    out = StepOutcome(x, Status.OK)
+    out = StepOutcome(x, _OK)
     for _ in range(k):
         out = step(current)
         if not out.ok:
@@ -393,7 +400,7 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
     if not isinstance(depth, int) or isinstance(depth, bool) or not 1 <= depth <= 3:
         raise ValueError("depth must be 1, 2 or 3")
     if x == 0.0:
-        return StepOutcome(0.0, Status.OK)
+        return StepOutcome(0.0, _OK)
     x = float(x)
     value_of = g.value
     fn = value_of if depth == 1 else lambda t: (x - t) ** (depth - 1) * value_of(t)

@@ -16,6 +16,11 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from .accelerators import DEFAULT_TOL, STEP_ERRORS, Status, StepOutcome, _check_tol, error_status
 from .jets import Scalar, is_finite
 
+# Status members bound once, as in accelerators: on Python 3.11 a read of
+# ``Status.OK`` costs ten module-global reads, and iterate reads them per step
+_OK, _CONVERGED, _DIVERGED = Status.OK, Status.CONVERGED, Status.DIVERGED
+_MAX_ITER, _NONFINITE = Status.MAX_ITER, Status.NONFINITE
+
 # empirical_order's verdict thresholds on the last error ratio
 _LOG_BAND = (0.95, 1.05)
 _SUPERLINEAR_CUT = 0.05
@@ -70,26 +75,24 @@ def iterate(
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     _check_tol(tol)
-    # members bound to locals: an attribute lookup per step is measurable
-    OK, CONVERGED, NONFINITE = Status.OK, Status.CONVERGED, Status.NONFINITE
     points = [x0]
     x = x0
-    reason = Status.MAX_ITER
+    reason = _MAX_ITER
     for _ in range(max_iter):
         try:  # abs() of a finite complex raises OverflowError too
             val, status = step(x)
-            if status is not OK and status is not CONVERGED:
+            if status is not _OK and status is not _CONVERGED:
                 reason = status
                 break
             if not is_finite(val):
-                reason = NONFINITE
+                reason = _NONFINITE
                 break
-            if status is CONVERGED:
-                reason = CONVERGED
+            if status is _CONVERGED:
+                reason = _CONVERGED
             elif abs(val) > divergence_bound:
-                reason = Status.DIVERGED
+                reason = _DIVERGED
             elif abs(val - x) <= tol * (1.0 + abs(val)):
-                reason = CONVERGED
+                reason = _CONVERGED
             else:
                 points.append(val)
                 x = val
@@ -131,7 +134,7 @@ def empirical_order(
     """
     if isinstance(trace_or_values, IterationTrace):
         values = trace_or_values.points
-        converged = trace_or_values.stop_reason is Status.CONVERGED
+        converged = trace_or_values.stop_reason is _CONVERGED
         if converged and len(values) >= 2 and values[-1] == values[-2]:
             values = values[:-1]
     else:

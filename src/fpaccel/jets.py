@@ -22,16 +22,22 @@ signed zeros included:
 >>> (Jet2(1.0, -0.0, -0.0) + 1.0).as_tuple()
 (2.0, 0.0, 0.0)
 
-The elementary functions (:func:`sin`, :func:`cos`, :func:`exp` and
-:func:`pow_real`) also accept a bare float or complex.  On a scalar they
-return the value alone, after the same domain checks as on a jet, so one
-function body serves both evaluations: run on ``lift(x)`` it gives the
-jet, run on ``x`` it gives exactly that jet's ``v0``.  Such a body
-raises a fractional power with :func:`pow_real`, not ``**``: on a bare
-negative float ``**`` returns a complex number where :func:`pow_real`
-raises :class:`JetDomainError`.
+The elementary functions (:func:`sin`, :func:`cos`, :func:`sin_cos`,
+:func:`exp` and :func:`pow_real`) also accept a bare float or complex.
+On a scalar they return the value alone, after the same domain checks as
+on a jet, so one function body serves both evaluations: run on
+``lift(x)`` it gives the jet, run on ``x`` it gives exactly that jet's
+``v0``.  Such a body raises a fractional power with :func:`pow_real`, not
+``**``: on a bare negative float ``**`` returns a complex number where
+:func:`pow_real` raises :class:`JetDomainError`.
 
 >>> sin(0.5) == sin(lift(0.5)).v0
+True
+
+:func:`sin_cos` returns the pair ``(sin(a), cos(a))``, jets or values,
+with the bits of the two calls but one math sine and cosine evaluation:
+
+>>> sin_cos(lift(0.5)) == (sin(lift(0.5)), cos(lift(0.5)))
 True
 
 Real jets use :mod:`math`, complex jets use :mod:`cmath`.  On platforms
@@ -60,6 +66,7 @@ __all__ = [
     "lift",
     "pow_real",
     "sin",
+    "sin_cos",
 ]
 
 
@@ -111,11 +118,12 @@ class Jet2:
     # A bare float, complex or int operand is not promoted to a jet: each
     # scalar branch is the jet-jet formula with ``(c, 0.0, 0.0)`` written in,
     # zero terms kept, so -0.0 and inf*0 come out as with the promotion.
+    # A float operand, the common case, skips the _scalar call.
 
     def __add__(self, other):
         if type(other) is Jet2:
             return Jet2(self.v0 + other.v0, self.v1 + other.v1, self.v2 + other.v2)
-        c = _scalar(other)
+        c = other if type(other) is float else _scalar(other)
         if c is NotImplemented:
             return NotImplemented
         return Jet2(self.v0 + c, self.v1 + 0.0, self.v2 + 0.0)
@@ -125,47 +133,39 @@ class Jet2:
     def __sub__(self, other):
         if type(other) is Jet2:
             return Jet2(self.v0 - other.v0, self.v1 - other.v1, self.v2 - other.v2)
-        c = _scalar(other)
+        c = other if type(other) is float else _scalar(other)
         if c is NotImplemented:
             return NotImplemented
         return Jet2(self.v0 - c, self.v1 - 0.0, self.v2 - 0.0)
 
     def __rsub__(self, other):
-        c = _scalar(other)
+        c = other if type(other) is float else _scalar(other)
         if c is NotImplemented:
             return NotImplemented
         return Jet2(c - self.v0, 0.0 - self.v1, 0.0 - self.v2)
 
     def __mul__(self, other):
-        a = self
+        a0, a1, a2 = self.v0, self.v1, self.v2
         if type(other) is Jet2:
-            b = other
-            return Jet2(
-                a.v0 * b.v0,
-                a.v0 * b.v1 + a.v1 * b.v0,
-                a.v0 * b.v2 + 2.0 * (a.v1 * b.v1) + a.v2 * b.v0,
-            )
-        c = _scalar(other)
+            b0, b1, b2 = other.v0, other.v1, other.v2
+            return Jet2(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + 2.0 * (a1 * b1) + a2 * b0)
+        c = other if type(other) is float else _scalar(other)
         if c is NotImplemented:
             return NotImplemented
-        return Jet2(
-            a.v0 * c,
-            a.v0 * 0.0 + a.v1 * c,
-            a.v0 * 0.0 + 2.0 * (a.v1 * 0.0) + a.v2 * c,
-        )
+        return Jet2(a0 * c, a0 * 0.0 + a1 * c, a0 * 0.0 + 2.0 * (a1 * 0.0) + a2 * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is Jet2:
             return _div(self, other)
-        c = _scalar(other)
+        c = other if type(other) is float else _scalar(other)
         if c is NotImplemented:
             return NotImplemented
         return _div(self, Jet2(c, 0.0, 0.0))
 
     def __rtruediv__(self, other):
-        c = _scalar(other)
+        c = other if type(other) is float else _scalar(other)
         if c is NotImplemented:
             return NotImplemented
         return _div(Jet2(c, 0.0, 0.0), self)
@@ -218,9 +218,10 @@ def _chain(a: Jet2, f0: Scalar, f1: Scalar, f2: Scalar) -> Jet2:
     return Jet2(f0, f1 * a.v1, f2 * a.v1 * a.v1 + f1 * a.v2)
 
 
-# sin, cos and exp catch the ValueError that math and cmath raise on an
-# infinite argument (or part) and raise OverflowError instead: the argument
-# had already overflowed, and a try costs nothing while nothing raises.
+# sin, cos, sin_cos and exp catch the ValueError that math and cmath raise
+# on an infinite argument (or part) and raise OverflowError instead: the
+# argument had already overflowed, and a try costs nothing while nothing
+# raises.  Each writes out _chain's products in _chain's order.
 
 
 def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
@@ -234,7 +235,8 @@ def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
             s, c = math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError("sin of an infinite argument") from None
-    return _chain(a, s, c, -s)
+    a1 = a.v1
+    return Jet2(s, c * a1, -s * a1 * a1 + c * a.v2)
 
 
 def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
@@ -248,7 +250,25 @@ def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
             s, c = math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError("cos of an infinite argument") from None
-    return _chain(a, c, -s, -c)
+    a1, ms = a.v1, -s
+    return Jet2(c, ms * a1, -c * a1 * a1 + ms * a.v2)
+
+
+def sin_cos(a: Jet2 | Scalar) -> tuple[Jet2, Jet2] | tuple[Scalar, Scalar]:
+    """``(sin(a), cos(a))`` with the bits of the two calls, from one sin and one cos."""
+    jet = isinstance(a, Jet2)
+    z = a.v0 if jet else a
+    try:
+        if isinstance(z, complex):
+            s, c = cmath.sin(z), cmath.cos(z)
+        else:
+            s, c = math.sin(z), math.cos(z)
+    except ValueError:
+        raise OverflowError("sin_cos of an infinite argument") from None
+    if not jet:
+        return s, c
+    a1, a2, ms = a.v1, a.v2, -s
+    return Jet2(s, c * a1, ms * a1 * a1 + c * a2), Jet2(c, ms * a1, -c * a1 * a1 + ms * a2)
 
 
 def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
@@ -259,7 +279,8 @@ def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
         e = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
     except ValueError:
         raise OverflowError("exp of an infinite argument") from None
-    return _chain(a, e, e, e)
+    a1 = a.v1
+    return Jet2(e, e * a1, e * a1 * a1 + e * a.v2)
 
 
 def _pow_factors(a: Jet2, f0: Scalar, d1: Scalar, d2: Scalar) -> Jet2:

@@ -129,8 +129,11 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
     ``FAMILY_RESIDUAL_TOL`` and beta > 1 (a fit with beta <= 1 is
     reported with member False: the fixed point is not flat).  Probes at
     the fixed point, with vanishing residual or where the map raises one
-    of ``STEP_ERRORS`` are skipped.
+    of ``STEP_ERRORS`` are skipped.  ``x_star`` and the probes must be
+    real: the fit reads which side of ``x_star`` a probe lies on.
     """
+    if isinstance(x_star, complex):
+        raise ValueError("x_star must be real")
     logr, logd, signs, sides = [], [], [], []
     for p in probes:
         if isinstance(p, complex):

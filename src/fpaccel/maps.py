@@ -109,9 +109,14 @@ def _fdil_fn(x: Jet2 | Scalar) -> Jet2 | Scalar:
 
 
 def _kvb_fn(z: Jet2 | Scalar) -> Jet2 | Scalar:
-    # entire function with a double zero at 2; explicit products, no pow
+    # entire function with a double zero at 2; explicit products, no pow.
+    # z**3 is zz * z, which is how z * z * z groups, so sharing zz (and one
+    # sin_cos) keeps every bit
     zm2 = z - 2.0
-    f = z * z * zm2 * zm2 * (jets.exp(2.0 * z) * jets.cos(z) + z * z * z - 1.0 - jets.sin(z))
+    zz = z * z
+    e = jets.exp(2.0 * z)
+    s, c = jets.sin_cos(z)
+    f = zz * zm2 * zm2 * (e * c + zz * z - 1.0 - s)
     return z - f
 
 

@@ -189,6 +189,14 @@ def test_family_fit_skips_bad_probes():
         kernel_family_fit(FDIL, 1.0, [1.05 + 0j, 1.1, 1.15])
 
 
+def test_family_fit_rejects_complex_x_star():
+    # a complex x_star, even one on the real axis, has no side to fit from
+    cases = ((FDIL, complex(1.0, 0.0), [1.05, 1.1, 1.15]), (LOG1, complex(0.2, 0.0), [0.3]))
+    for u, x_star, probes in cases:
+        with pytest.raises(ValueError, match="x_star must be real"):
+            kernel_family_fit(u, x_star, probes)
+
+
 def test_random_members_detected_and_collapsed():
     rng = np.random.default_rng(7)
     for _ in range(10):

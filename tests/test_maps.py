@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from fpaccel.jets import is_finite
+from fpaccel import jets
+from fpaccel.jets import Jet2, is_finite, lift
 from fpaccel.maps import (
     CorpusError,
     GoldenValue,
@@ -99,6 +100,49 @@ def test_kvb_first_iterate():
     y1 = prob.map.value(prob.x0)
     assert abs(y1.real - 2.391422135261737) <= 1e-12 * abs(y1.real)
     assert abs(y1.imag - -0.46996670468943114) <= 1e-12
+
+
+def _kvb_reference(z):
+    # the kvb body as it was, with separate sin and cos calls and z * z * z
+    zm2 = z - 2.0
+    f = z * z * zm2 * zm2 * (jets.exp(2.0 * z) * jets.cos(z) + z * z * z - 1.0 - jets.sin(z))
+    return z - f
+
+
+def _outcome_bits(compute):
+    # every component by (type, repr), so -0.0 is told from 0.0; or the exception type
+    try:
+        out = compute()
+    except ArithmeticError as exc:
+        return type(exc)
+    return tuple((type(v), repr(v)) for v in (out.as_tuple() if isinstance(out, Jet2) else (out,)))
+
+
+# a grid around the golden start 1.9+0.1j, points near and at the double
+# zero 2, a far start whose products overflow to a non-finite value, and
+# starts that raise OverflowError from sin, cos or exp
+_KVB_GRID = [
+    *(complex(re, im) for re in (1.5, 1.8, 1.9, 2.2) for im in (-0.3, 0.0, 0.1)),
+    complex(2.0, 0.0),
+    complex(2.0, -0.0),
+    complex(2.0000001, 1e-8),
+    complex(1.99999, -2e-6),
+    complex(2.1, 0.3),
+    complex(0.3, -0.1),
+    complex(-1.5, 2.0),
+    complex(-1e80, 1.0),
+    complex(1e200, -1e200),
+    complex(0.0, 800.0),
+    complex(400.0, 1.0),
+    complex(1e308, 1e308),
+]
+
+
+@pytest.mark.parametrize("z", _KVB_GRID, ids=repr)
+def test_kvb_keeps_the_bits_of_its_reference_body(z):
+    u = corpus_lookup("kvb_complex").map
+    assert _outcome_bits(lambda: u.at(z)) == _outcome_bits(lambda: _kvb_reference(lift(z)))
+    assert _outcome_bits(lambda: u.value(z)) == _outcome_bits(lambda: _kvb_reference(z + 0.0))
 
 
 def test_power_family_metadata():

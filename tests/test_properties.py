@@ -3,6 +3,7 @@
 The examples are derandomized, so every run draws the same cases.
 """
 
+import cmath
 import math
 import operator
 
@@ -24,7 +25,7 @@ from fpaccel import (
 )
 from fpaccel.accelerators import DEFAULT_TOL, STEP_ERRORS, StepOutcome, integral_step
 from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json, render_markdown
-from fpaccel.jets import Jet2, pow_real
+from fpaccel.jets import Jet2, cos, exp, pow_real, sin, sin_cos
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -263,3 +264,62 @@ _positive = st.one_of(
 def test_pow_real_positive_base_matches_the_reference(z, v1, v2, b):
     for a in (z, Jet2(z, v1, v2)):
         assert _bits(lambda: pow_real(a, b)) == _bits(lambda: _pow_real_positive_reference(a, b))
+
+
+# ---------- sin, cos, exp and sin_cos against the chain-rule form ----------
+
+
+def _chain(a, f0, f1, f2):
+    # the chain rule helper sin, cos and exp called before it was written
+    # into each of them
+    return Jet2(f0, f1 * a.v1, f2 * a.v1 * a.v1 + f1 * a.v2)
+
+
+def _elementary_reference(name, a):
+    # sin, cos or exp as it was: a bare scalar straight to math or cmath, a
+    # jet through _chain; an infinite argument raises OverflowError
+    jet = isinstance(a, Jet2)
+    z = a.v0 if jet else a
+    lib = cmath if isinstance(z, complex) else math
+    try:
+        if not jet:
+            return getattr(lib, name)(z)
+        if name == "exp":
+            e = lib.exp(z)
+        else:
+            s, c = lib.sin(z), lib.cos(z)
+    except ValueError:
+        raise OverflowError(f"{name} of an infinite argument") from None
+    if name == "exp":
+        return _chain(a, e, e, e)
+    return _chain(a, s, c, -s) if name == "sin" else _chain(a, c, -s, -c)
+
+
+_infinite = st.sampled_from(
+    (math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, -math.inf), complex(0.0, math.inf))
+)
+# a constant jet's zero derivatives, whose signs the chain rule's products
+# and sums must keep
+_signed_zero = st.sampled_from((0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0j))
+_elementary_args = st.one_of(
+    _any_jets,
+    _any_scalar,
+    _infinite,
+    st.builds(Jet2, _infinite, _any_scalar, _any_scalar),
+    st.builds(Jet2, _any_scalar, _signed_zero, _signed_zero),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_elementary_args)
+def test_sin_cos_exp_match_the_chain_rule_reference(a):
+    for name, fn in (("sin", sin), ("cos", cos), ("exp", exp)):
+        assert _bits(lambda: fn(a)) == _bits(lambda: _elementary_reference(name, a)), (name, a)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_elementary_args)
+def test_sin_cos_gives_the_bits_of_sin_and_cos(a):
+    # an infinite argument must raise OverflowError, as sin and cos do
+    pair = (_bits(lambda: sin_cos(a)[0]), _bits(lambda: sin_cos(a)[1]))
+    assert pair == (_bits(lambda: sin(a)), _bits(lambda: cos(a))), a
