@@ -177,21 +177,21 @@ def _first_newton(x: Scalar, u_jet: Jet2, tol: float) -> tuple:
     point the map is extended continuously: value x, slope 0.
     """
     u0, u1, u2 = u_jet.v0, u_jet.v1, u_jet.v2
-    zero = x * 0
+    # x * 0 is the zero slope in x's type; each non-OK return makes its own, so OK steps skip it
     if not is_finite(u0):
-        return u0, _NONFINITE, zero
+        return u0, _NONFINITE, x * 0
     if _converged(x, u0, tol):
-        return x, _CONVERGED, zero
+        return x, _CONVERGED, x * 0
     if not (is_finite(u1) and is_finite(u2)):
-        return _nan_like(x), _NONFINITE, zero
+        return _nan_like(x), _NONFINITE, x * 0
     den = 1.0 - u1
     if _singular(den, x):
-        return x, _SINGULAR, zero
+        return x, _SINGULAR, x * 0
     diff = u0 - x
     val = x + diff / den
     slope = u2 * diff / (den * den)
     if not (is_finite(val) and is_finite(slope)):
-        return _nan_like(x), _NONFINITE, zero
+        return _nan_like(x), _NONFINITE, x * 0
     return val, _OK, slope
 
 

@@ -11,6 +11,7 @@ known fixed point.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .accelerators import DEFAULT_TOL, STEP_ERRORS, Status, StepOutcome, _check_tol, error_status
@@ -69,12 +70,16 @@ def iterate(
     the steps are known to raise on bad points
     (:data:`~fpaccel.accelerators.STEP_ERRORS`) are mapped to stop reasons
     by :func:`~fpaccel.accelerators.error_status`.
+    ``divergence_bound`` must be non-negative; ``inf`` turns the
+    divergence test off.
     """
     if not is_finite(x0):
         raise ValueError("x0 must be finite")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     _check_tol(tol)
+    if not divergence_bound >= 0.0:  # a nan bound would never report diverged
+        raise ValueError(f"divergence_bound must be non-negative, got {divergence_bound!r}")
     points = [x0]
     x = x0
     reason = _MAX_ITER
@@ -144,9 +149,12 @@ def empirical_order(
     errs = []
     for n, v in enumerate(values):
         try:  # abs() of a finite complex raises OverflowError past the largest float
-            errs.append(abs(v - x_star))
+            err = abs(v - x_star)
         except OverflowError:
-            raise ValueError(f"iterate {n} ({v!r}) is too far from x_star to measure") from None
+            err = math.inf
+        if not is_finite(err):  # a nan or infinite error makes every ratio after it nonsense
+            raise ValueError(f"iterate {n} ({v!r}) has no finite distance to x_star")
+        errs.append(err)
     ratios: list[float] = []
     for n in range(len(errs) - 1):
         if errs[n] == 0.0:

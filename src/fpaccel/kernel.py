@@ -131,9 +131,12 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
     the fixed point, with vanishing residual or where the map raises one
     of ``STEP_ERRORS`` are skipped.  ``x_star`` and the probes must be
     real: the fit reads which side of ``x_star`` a probe lies on.
+    ``x_star`` must be finite too, or no distance to it is.
     """
     if isinstance(x_star, complex):
         raise ValueError("x_star must be real")
+    if not math.isfinite(x_star):
+        raise ValueError(f"x_star must be finite, got {x_star!r}")
     logr, logd, signs, sides = [], [], [], []
     for p in probes:
         if isinstance(p, complex):

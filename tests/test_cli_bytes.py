@@ -15,9 +15,10 @@ Check, or regenerate the digest file after an intended output change::
 import hashlib
 import io
 import shlex
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import digests
 
 from fpaccel.cli import main
 
@@ -83,26 +84,10 @@ def compute() -> dict:
     return {line: digest(line) for line in command_lines()}
 
 
-def read_digests() -> dict:
-    pairs = (row.split("  ", 1) for row in DIGESTS.read_text().splitlines())
-    return {line: d for d, line in pairs}
-
-
-def changed_lines(want: dict, got: dict) -> list:
-    return sorted(line for line in want.keys() | got.keys() if want.get(line) != got.get(line))
-
-
 def test_cli_bytes_match_digests():
-    changed = changed_lines(read_digests(), compute())
+    changed = digests.changed(digests.read(DIGESTS), compute())
     assert not changed, "CLI bytes changed for:\n" + "\n".join(changed)
 
 
 if __name__ == "__main__":
-    got = compute()
-    if sys.argv[1:] == ["--write"]:
-        DIGESTS.write_text("".join(f"{d}  {line}\n" for line, d in got.items()))
-        print(f"wrote {len(got)} digests to {DIGESTS}")
-    else:
-        changed = changed_lines(read_digests(), got)
-        print("\n".join(changed + [f"{len(got) - len(changed)}/{len(got)} digests match"]))
-        raise SystemExit(1 if changed else 0)
+    digests.main(DIGESTS, compute)

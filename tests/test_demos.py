@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import digests
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,35 +39,28 @@ def digest(stdout: bytes) -> str:
     return hashlib.sha256(stdout).hexdigest()[:16]
 
 
-def read_digests() -> dict:
-    pairs = (row.split("  ", 1) for row in DIGESTS.read_text().splitlines())
-    return {name: d for d, name in pairs}
-
-
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     out = run(demo)
     assert out.returncode == 0, out.stderr.decode()
     assert out.stdout.strip()
-    assert digest(out.stdout) == read_digests().get(demo.name), f"{demo.name} prints other bytes"
+    want = digests.read(DIGESTS).get(demo.name)
+    assert digest(out.stdout) == want, f"{demo.name} prints other bytes"
 
 
 def test_every_demo_has_one_digest():
-    assert sorted(read_digests()) == [d.name for d in DEMOS]
+    assert sorted(digests.read(DIGESTS)) == [d.name for d in DEMOS]
 
 
-if __name__ == "__main__":
+def compute() -> dict:
     got = {}
     for demo in DEMOS:
         out = run(demo)
         if out.returncode != 0:
             raise SystemExit(f"{demo.name} exited {out.returncode}:\n{out.stderr.decode()}")
         got[demo.name] = digest(out.stdout)
-    if sys.argv[1:] == ["--write"]:
-        DIGESTS.write_text("".join(f"{d}  {name}\n" for name, d in got.items()))
-        print(f"wrote {len(got)} digests to {DIGESTS}")
-    else:
-        want = read_digests()
-        changed = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
-        print("\n".join(changed + [f"{len(got) - len(changed)}/{len(got)} digests match"]))
-        raise SystemExit(1 if changed else 0)
+    return got
+
+
+if __name__ == "__main__":
+    digests.main(DIGESTS, compute)

@@ -125,6 +125,10 @@ def test_iterate_validation():
     for tol in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="tol"):
             iterate(_plain(SIN), 3.0, 5, tol)
+    # a nan bound never reports diverged, and a negative one flags every step
+    for bound in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="divergence_bound"):
+            iterate(_plain(SIN), 3.0, 5, divergence_bound=bound)
     tr = iterate(_plain(SIN), 3.0, 0)
     assert len(tr.points) == 1
     assert tr.stop_reason is Status.MAX_ITER
@@ -161,3 +165,11 @@ def test_empirical_order_names_an_overflowing_iterate():
         empirical_order([z, z / 2, z / 4, z / 8], 0.0)
     with pytest.raises(ValueError, match=r"iterate 2 \("):
         empirical_order([1.0, 0.5, z, 0.25], 0.0)
+
+
+def test_empirical_order_names_a_nonfinite_iterate():
+    # each once gave nonsense ratios: the nan read linear, the inf superlinear
+    nan, inf = float("nan"), float("inf")
+    for values, n in (([1.0, nan, 0.5, 0.25, 0.125], 1), ([1.0, 0.5, 0.25, inf, 0.125], 3)):
+        with pytest.raises(ValueError, match=rf"iterate {n} \("):
+            empirical_order(values, 0.0)

@@ -1,9 +1,10 @@
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fpaccel
@@ -144,21 +145,53 @@ def test_family_fit_inconclusive_on_one_probe_distance():
         kernel_family_fit(LOG1, 0.0, [0.1, -0.1, 0.1])
 
 
-def test_line_fit_matches_numpy_lstsq():
-    rng = np.random.default_rng(3)
+def _exact_line_fit(xs, ys):
+    """The least-squares line y = a x + b through the points, in exact arithmetic.
+
+    Solves the normal equations a = sum(conj(dx) dy) / sum(|dx|^2) and
+    b = mean(y) - a mean(x), with dx and dy the deviations from the means.
+    Each number is held as a (real, imaginary) pair of Fractions, so only
+    the returned a, b and worst |y - (a x + b)| are rounded, once each.
+    """
+    n = len(xs)
+    xs = [(Fraction(x.real), Fraction(x.imag)) for x in xs]
+    ys = [(Fraction(y.real), Fraction(y.imag)) for y in ys]
+    x_re, x_im = sum(x[0] for x in xs) / n, sum(x[1] for x in xs) / n
+    y_re, y_im = sum(y[0] for y in ys) / n, sum(y[1] for y in ys) / n
+    num_re = num_im = spread = 0
+    for (xr, xi), (yr, yi) in zip(xs, ys):
+        dxr, dxi, dyr, dyi = xr - x_re, xi - x_im, yr - y_re, yi - y_im
+        num_re += dxr * dyr + dxi * dyi
+        num_im += dxr * dyi - dxi * dyr
+        spread += dxr * dxr + dxi * dxi
+    a_re, a_im = num_re / spread, num_im / spread
+    b_re = y_re - (a_re * x_re - a_im * x_im)
+    b_im = y_im - (a_re * x_im + a_im * x_re)
+    res = max(
+        abs(complex(yr - (a_re * xr - a_im * xi + b_re), yi - (a_re * xi + a_im * xr + b_im)))
+        for (xr, xi), (yr, yi) in zip(xs, ys)
+    )
+    return complex(a_re, a_im), complex(b_re, b_im), res
+
+
+def test_line_fit_matches_exact_normal_equations():
+    rng = random.Random(3)
+
+    def normals(n):
+        return [rng.gauss(0.0, 1.0) for _ in range(n)]
+
     for complex_points in (False, True):
         for _ in range(200):
-            n = int(rng.integers(3, 12))
-            xs = rng.normal(size=n) * rng.uniform(0.01, 10.0) + rng.uniform(-5.0, 5.0)
-            ys = rng.normal(size=n) * rng.uniform(0.01, 10.0)
+            n = rng.randrange(3, 12)
+            gx, x_scale, x_shift = normals(n), rng.uniform(0.01, 10.0), rng.uniform(-5.0, 5.0)
+            xs = [g * x_scale + x_shift for g in gx]
+            gy, y_scale = normals(n), rng.uniform(0.01, 10.0)
+            ys = [g * y_scale for g in gy]
             if complex_points:
-                xs = xs + 1j * rng.normal(size=n)
-                ys = ys + 1j * rng.normal(size=n)
-            design = np.stack([xs, np.ones(n, dtype=xs.dtype)], axis=1)
-            coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-            a_ref, b_ref = coef
-            res_ref = np.max(np.abs(ys - design @ coef))
-            a, b, res = _line_fit(xs.tolist(), ys.tolist())
+                xs = [complex(x, g) for x, g in zip(xs, normals(n))]
+                ys = [complex(y, g) for y, g in zip(ys, normals(n))]
+            a_ref, b_ref, res_ref = _exact_line_fit(xs, ys)
+            a, b, res = _line_fit(xs, ys)
             assert isinstance(a, complex) == complex_points
             assert abs(a - a_ref) <= 1e-12 * (1.0 + abs(a_ref))
             assert abs(b - b_ref) <= 1e-12 * (1.0 + abs(b_ref))
@@ -197,12 +230,19 @@ def test_family_fit_rejects_complex_x_star():
             kernel_family_fit(u, x_star, probes)
 
 
+def test_family_fit_rejects_nonfinite_x_star():
+    # nan or infinite distances fit a verdict whose residual, alpha and beta are nan
+    for x_star in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="x_star must be finite"):
+            kernel_family_fit(LOG1, x_star, [0.1, 0.2, 0.3])
+
+
 def test_random_members_detected_and_collapsed():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(10):
-        alpha = float(rng.uniform(0.25, 3.0) * rng.choice([-1.0, 1.0]))
-        beta = float(rng.uniform(1.1, 4.0))
-        x_star = float(rng.uniform(-2.0, 2.0))
+        alpha = rng.uniform(0.25, 3.0) * rng.choice([-1.0, 1.0])
+        beta = rng.uniform(1.1, 4.0)
+        x_star = rng.uniform(-2.0, 2.0)
         m = kernel_family_map(alpha, beta, x_star)
         va = affinity_test(m, x_star - 0.15, 0.1)
         assert va.member

@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 
 from fpaccel.accelerators import Status, plain_step
@@ -55,13 +55,13 @@ def test_theta2_sine_column():
 
 
 def test_aitken_exact_on_geometric_sequences():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(50):
-        r = float(rng.uniform(-0.8, 0.8))
+        r = rng.uniform(-0.8, 0.8)
         if abs(r) < 0.05:
             continue
-        c = float(rng.uniform(-2.0, 2.0)) or 1.0
-        limit = float(rng.uniform(-2.0, 2.0))
+        c = rng.uniform(-2.0, 2.0) or 1.0
+        limit = rng.uniform(-2.0, 2.0)
         s = [limit + c * r**n for n in range(8)]
         out = aitken_delta2(s)
         assert len(out.points) == 6
@@ -70,13 +70,13 @@ def test_aitken_exact_on_geometric_sequences():
 
 
 def test_theta2_exact_on_geometric_sequences():
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     for _ in range(50):
-        r = float(rng.uniform(-0.8, 0.8))
+        r = rng.uniform(-0.8, 0.8)
         if abs(r) < 0.05:
             continue
-        c = float(rng.uniform(-2.0, 2.0)) or 1.0
-        limit = float(rng.uniform(-2.0, 2.0))
+        c = rng.uniform(-2.0, 2.0) or 1.0
+        limit = rng.uniform(-2.0, 2.0)
         s = [limit + c * r**n for n in range(8)]
         out = theta2(s)
         assert len(out.points) == 5
