@@ -47,7 +47,6 @@ from .kernel import (
 )
 from .maps import (
     CorpusError,
-    GoldenValue,
     IterationMap,
     ProblemSpec,
     corpus_lookup,
@@ -67,7 +66,6 @@ __all__ = [
     "DEFAULT_TOL",
     "CorpusError",
     "FitInconclusiveError",
-    "GoldenValue",
     "IterationMap",
     "IterationTrace",
     "Jet2",

@@ -258,7 +258,6 @@ def compose_step(x: Scalar, step: StepFunction, k: int) -> StepOutcome:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive integer")
     current = x
-    out = StepOutcome(x, _OK)
     for _ in range(k):
         out = step(current)
         if not out.ok:

@@ -10,6 +10,8 @@ Methods are the entries of :data:`METHODS`.  Iterative methods: plain,
 first_newton, standard, phi, steffensen, integral:J (J in 1..3),
 compose:METHOD:K.  Sequence transforms applied to the plain iterates:
 aitken, theta2, w_transform, iterated_aitken:D.
+
+Each golden suite carries the :class:`GoldenValue` cells its columns must match.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .jets import Scalar
 from .maps import ProblemSpec, corpus_lookup, corpus_names
 from .transforms import aitken_delta2, iterated_aitken, theta2, w_transform
 
-__all__ = ["METHODS", "main", "run_experiment", "run_suite", "render"]
+__all__ = ["METHODS", "GoldenValue", "main", "run_experiment", "run_suite", "render"]
 
 
 class UsageError(ValueError):
@@ -261,18 +263,91 @@ def render(exp: Experiment, fmt: str) -> str:
 # ---------- golden suites ----------
 
 
-class _Suite(NamedTuple):
-    problem: str
-    params: dict
-    methods: tuple
-    max_iter: int
+class GoldenValue(NamedTuple):
+    """One externally sourced reference cell for a method column.
+
+    ``part`` selects the compared component of the iterate ("re" or "im");
+    ``mode`` is "abs" (absolute tolerance), "rel" (relative) or
+    "factor" (magnitudes within a multiplicative band, for cells pinned
+    only up to arithmetic noise).
+    """
+
+    method: str
+    index: int  # shadows tuple.index; the row of the column to check
+    expected: float
+    part: str = "re"
+    mode: str = "abs"
+    tol: float = 1e-6
+
+    def check(self, got: Scalar) -> tuple[bool, str]:
+        if self.part == "re":
+            g = got.real if isinstance(got, complex) else got
+        elif self.part == "im":
+            g = got.imag if isinstance(got, complex) else 0.0
+        else:
+            raise ValueError(f"bad golden part {self.part!r}")
+        if self.mode == "abs":
+            ok = abs(g - self.expected) <= self.tol
+            detail = f"{g!r} vs {self.expected!r} (abs tol {self.tol:g})"
+        elif self.mode == "rel":
+            ok = abs(g - self.expected) <= self.tol * abs(self.expected)
+            detail = f"{g!r} vs {self.expected!r} (rel tol {self.tol:g})"
+        elif self.mode == "factor":
+            lo, hi = abs(self.expected) / self.tol, abs(self.expected) * self.tol
+            ok = lo <= abs(g) <= hi
+            detail = f"|{g!r}| vs {self.expected!r} (within factor {self.tol:g})"
+        else:
+            raise ValueError(f"bad golden mode {self.mode!r}")
+        return ok, detail
 
 
-_SUITES = {
-    "table1": _Suite("sin", {}, ("plain", "first_newton", "standard", "aitken", "theta2"), 4),
-    "table2": _Suite("logistic", {"a": 1.0}, ("plain", "phi"), 3),
-    "table3": _Suite("kvb_complex", {}, ("plain", "standard"), 5),
-}
+_SIN_GOLDEN = (
+    GoldenValue("plain", 1, 0.14112, tol=1e-5),
+    GoldenValue("plain", 2, 0.140652, tol=1e-6),
+    GoldenValue("plain", 3, 0.140189, tol=1e-6),
+    GoldenValue("plain", 4, 0.13973, tol=1e-5),
+    GoldenValue("first_newton", 1, 1.56337, tol=1e-5),
+    GoldenValue("first_newton", 2, 0.995758, tol=1e-6),
+    GoldenValue("first_newton", 3, 0.652467, tol=1e-6),
+    GoldenValue("first_newton", 4, 0.431844, tol=1e-6),
+    GoldenValue("standard", 1, 1.40041, tol=1e-5),
+    GoldenValue("standard", 2, 0.173163, tol=1e-6),
+    GoldenValue("standard", 3, 0.000345858, tol=1e-9),
+    GoldenValue("standard", 4, 7.30548e-13, mode="factor", tol=10.0),
+    GoldenValue("aitken", 0, 0.140652, tol=1e-6),
+    GoldenValue("aitken", 1, 0.0938926, tol=1e-7),
+    GoldenValue("aitken", 2, 0.0935825, tol=1e-7),
+    GoldenValue("theta2", 0, 0.141125, tol=1e-4),
+    GoldenValue("theta2", 1, -0.000754788, tol=1e-7),
+)
+
+_LOGISTIC_GOLDEN = (
+    GoldenValue("plain", 1, 0.25, tol=1e-12),
+    GoldenValue("plain", 2, 0.1875, tol=1e-12),
+    GoldenValue("plain", 3, 0.15234375, tol=1e-12),
+    GoldenValue("phi", 1, -0.25, tol=1e-12),
+    GoldenValue("phi", 2, -0.025, tol=1e-12),
+    GoldenValue("phi", 3, -0.00030487804878048784, tol=1e-12),
+)
+
+_KVB_GOLDEN = (
+    GoldenValue("plain", 1, 2.391422135261736, mode="rel", tol=1e-9),
+    GoldenValue("plain", 1, -0.4699667, part="im", tol=2e-7),
+    GoldenValue("plain", 2, -190.6272479365824, mode="rel", tol=1e-9),
+    GoldenValue("plain", 2, 83.78040, part="im", tol=2e-5),
+    GoldenValue("plain", 3, -1.078985533e45, mode="rel", tol=1e-9),
+    GoldenValue("plain", 3, 2.057e45, part="im", mode="rel", tol=1e-3),
+    GoldenValue("standard", 1, 2.033556020548597, mode="rel", tol=1e-9),
+    GoldenValue("standard", 1, 0.0804529, part="im", tol=2e-7),
+    GoldenValue("standard", 2, 2.010056510555553, mode="rel", tol=1e-9),
+    GoldenValue("standard", 2, -0.01717596, part="im", tol=1e-7),
+    GoldenValue("standard", 3, 2.000502552323976, mode="rel", tol=1e-9),
+    GoldenValue("standard", 3, 0.0010266, part="im", tol=1e-6),
+    GoldenValue("standard", 4, 2.000002378186929, mode="rel", tol=1e-9),
+    GoldenValue("standard", 4, -3.083e-6, part="im", tol=1e-8),
+    GoldenValue("standard", 5, 1.999999999946048, mode="rel", tol=1e-9),
+    GoldenValue("standard", 5, 0.0, part="im", tol=1e-9),
+)
 
 
 def _table3_checks(columns: dict) -> list:
@@ -289,29 +364,42 @@ def _table3_checks(columns: dict) -> list:
     ]
 
 
-_EXTRA_CHECKS = {"table3": _table3_checks}
+class _Suite(NamedTuple):
+    """A problem, the method columns run on it, and the cells checked in them."""
+
+    problem: str
+    params: dict
+    methods: tuple
+    max_iter: int
+    golden: tuple  # GoldenValue cells, each naming one of ``methods``
+    checks: Callable = lambda columns: ()  # more (label, ok, detail) checks on the columns
+
+
+_SUITES = {
+    "table1": _Suite("sin", {}, ("plain", "first_newton", "standard", "aitken", "theta2"), 4, _SIN_GOLDEN),
+    "table2": _Suite("logistic", {"a": 1.0}, ("plain", "phi"), 3, _LOGISTIC_GOLDEN),
+    "table3": _Suite("kvb_complex", {}, ("plain", "standard"), 5, _KVB_GOLDEN, _table3_checks),
+}
 
 
 def run_suite(names: list) -> int:
     """Re-run the bundled reference experiments and check every golden value.
 
-    Prints one PASS/FAIL line per check; exit status is nonzero iff any
-    check fails.
+    Every name is looked up before any suite runs.  Prints one PASS/FAIL
+    line per check; exit status is nonzero iff any check fails.
     """
-    failures = 0
-    total = 0
+    unknown = [name for name in names if name not in _SUITES]
+    if unknown:
+        print(f"error: unknown suite {unknown[0]!r}; have {', '.join(sorted(_SUITES))}", file=sys.stderr)
+        return 2
+    failures = total = 0
     for name in names:
-        suite = _SUITES.get(name)
-        if suite is None:
-            print(f"error: unknown suite {name!r}; have {', '.join(sorted(_SUITES))}", file=sys.stderr)
-            return 2
+        suite = _SUITES[name]
         prob = corpus_lookup(suite.problem, **suite.params)
         exp = run_experiment(prob, list(suite.methods), None, suite.max_iter, DEFAULT_TOL)
         by_method = {c.method: c for c in exp.columns}
-        for gv in prob.golden:
-            col = by_method.get(gv.method)
-            if col is None:
-                continue
+        for gv in suite.golden:
+            col = by_method[gv.method]
             total += 1
             if gv.index >= len(col.values):
                 failures += 1
@@ -321,7 +409,7 @@ def run_suite(names: list) -> int:
             if not ok:
                 failures += 1
             print(f"{'PASS' if ok else 'FAIL'} {name} {gv.method}[{gv.index}] {detail}")
-        for label, ok, detail in _EXTRA_CHECKS.get(name, lambda c: [])(by_method):
+        for label, ok, detail in suite.checks(by_method):
             total += 1
             if not ok:
                 failures += 1

@@ -137,7 +137,7 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
         raise ValueError("x_star must be real")
     if not math.isfinite(x_star):
         raise ValueError(f"x_star must be finite, got {x_star!r}")
-    logr, logd, signs, sides = [], [], [], []
+    logr, logd = [], []
     for p in probes:
         if isinstance(p, complex):
             raise ValueError("probes must be real")
@@ -150,17 +150,17 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
             continue
         if not is_finite(d) or d == 0.0:
             continue
+        if not logr:  # the first usable probe sets alpha's sign and the convention
+            d_re = d.real if isinstance(d, complex) else d
+            sign, above = (1.0 if d_re > 0 else -1.0), gap > 0
         logr.append(math.log(abs(gap)))
         logd.append(math.log(abs(d)))
-        d_re = d.real if isinstance(d, complex) else d
-        signs.append(1.0 if d_re > 0 else -1.0)
-        sides.append(1.0 if gap > 0 else -1.0)
     if len(logr) < 3:
         raise FitInconclusiveError(f"only {len(logr)} usable probes")
     beta, logc, residual = _line_fit(logr, logd)
     magnitude = math.exp(logc)
-    alpha = signs[0] * magnitude
-    convention = "(x - x_star)^beta" if sides[0] > 0 else "(x_star - x)^beta"
+    alpha = sign * magnitude
+    convention = "(x - x_star)^beta" if above else "(x_star - x)^beta"
     # beta must clear 1 by more than fit noise; a slope-1 affine map
     # fits beta = 1 + O(eps) and its fixed point is not flat
     member = residual <= FAMILY_RESIDUAL_TOL and beta > 1.0 + 1e-9

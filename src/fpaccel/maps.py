@@ -1,8 +1,9 @@
 """Iteration maps and the bundled corpus of fixed point problems.
 
 An :class:`IterationMap` is a named map body.  A :class:`ProblemSpec`
-bundles a map with a start point, its fixed point when known, and the
-golden values the CLI suites check.
+bundles a map with a start point and its fixed point when known.  The
+reference cells the CLI suites check live with those suites, in
+:mod:`fpaccel.cli`.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 from . import jets
-from .jets import Jet2, Scalar, lift
+from .jets import Jet2, Scalar, is_finite, lift
 
 __all__ = [
     "CorpusError",
-    "GoldenValue",
     "IterationMap",
     "ProblemSpec",
     "corpus_lookup",
@@ -49,49 +49,10 @@ class IterationMap(NamedTuple):
         return self.fn(x + 0.0)
 
 
-class GoldenValue(NamedTuple):
-    """One externally sourced reference cell for a method column.
-
-    ``part`` selects the compared component of the iterate ("re" or "im");
-    ``mode`` is "abs" (absolute tolerance), "rel" (relative) or
-    "factor" (magnitudes within a multiplicative band, for cells pinned
-    only up to arithmetic noise).
-    """
-
-    method: str
-    index: int  # shadows tuple.index; the row of the column to check
-    expected: float
-    part: str = "re"
-    mode: str = "abs"
-    tol: float = 1e-6
-
-    def check(self, got: Scalar) -> tuple[bool, str]:
-        if self.part == "re":
-            g = got.real if isinstance(got, complex) else got
-        elif self.part == "im":
-            g = got.imag if isinstance(got, complex) else 0.0
-        else:
-            raise ValueError(f"bad golden part {self.part!r}")
-        if self.mode == "abs":
-            ok = abs(g - self.expected) <= self.tol
-            detail = f"{g!r} vs {self.expected!r} (abs tol {self.tol:g})"
-        elif self.mode == "rel":
-            ok = abs(g - self.expected) <= self.tol * abs(self.expected)
-            detail = f"{g!r} vs {self.expected!r} (rel tol {self.tol:g})"
-        elif self.mode == "factor":
-            lo, hi = abs(self.expected) / self.tol, abs(self.expected) * self.tol
-            ok = lo <= abs(g) <= hi
-            detail = f"|{g!r}| vs {self.expected!r} (within factor {self.tol:g})"
-        else:
-            raise ValueError(f"bad golden mode {self.mode!r}")
-        return ok, detail
-
-
 class ProblemSpec(NamedTuple):
     map: IterationMap
     x0: Scalar
     x_star: Optional[Scalar] = None
-    golden: tuple[GoldenValue, ...] = ()
 
 
 # ---------- map constructors ----------
@@ -129,8 +90,10 @@ def kernel_family_map(alpha: Scalar, beta: float, x_star: Scalar) -> IterationMa
     """
     if not 0 < beta < math.inf:
         raise CorpusError("beta must be positive and finite")
-    if alpha == 0:
-        raise CorpusError("alpha must be nonzero")
+    if alpha == 0 or not is_finite(alpha):
+        raise CorpusError(f"alpha must be finite and nonzero, got {alpha!r}")
+    if not is_finite(x_star):
+        raise CorpusError(f"x_star must be finite, got {x_star!r}")
 
     def u(x: Jet2 | Scalar) -> Jet2 | Scalar:
         return x + alpha * jets.pow_real(x_star - x, beta)
@@ -146,6 +109,8 @@ def _s_family(alphas: tuple, r: float, x_star: Scalar) -> IterationMap:
     if not 1 <= r < math.inf:
         raise CorpusError("r must be finite and at least 1")
     coeffs = tuple(float(a) if not isinstance(a, complex) else a for a in alphas)
+    if not all(map(is_finite, coeffs)):
+        raise CorpusError(f"s_family parameter alphas must be finite, got {alphas!r}")
     if not any(coeffs):
         raise CorpusError("all coefficients are zero")
 
@@ -160,63 +125,12 @@ def _s_family(alphas: tuple, r: float, x_star: Scalar) -> IterationMap:
     return IterationMap(f"s_family(alphas={alphas}, r={r}, x_star={x_star})", u)
 
 
-# ---------- golden tables ----------
-
-_SIN_GOLDEN = (
-    GoldenValue("plain", 1, 0.14112, tol=1e-5),
-    GoldenValue("plain", 2, 0.140652, tol=1e-6),
-    GoldenValue("plain", 3, 0.140189, tol=1e-6),
-    GoldenValue("plain", 4, 0.13973, tol=1e-5),
-    GoldenValue("first_newton", 1, 1.56337, tol=1e-5),
-    GoldenValue("first_newton", 2, 0.995758, tol=1e-6),
-    GoldenValue("first_newton", 3, 0.652467, tol=1e-6),
-    GoldenValue("first_newton", 4, 0.431844, tol=1e-6),
-    GoldenValue("standard", 1, 1.40041, tol=1e-5),
-    GoldenValue("standard", 2, 0.173163, tol=1e-6),
-    GoldenValue("standard", 3, 0.000345858, tol=1e-9),
-    GoldenValue("standard", 4, 7.30548e-13, mode="factor", tol=10.0),
-    GoldenValue("aitken", 0, 0.140652, tol=1e-6),
-    GoldenValue("aitken", 1, 0.0938926, tol=1e-7),
-    GoldenValue("aitken", 2, 0.0935825, tol=1e-7),
-    GoldenValue("theta2", 0, 0.141125, tol=1e-4),
-    GoldenValue("theta2", 1, -0.000754788, tol=1e-7),
-)
-
-_LOGISTIC_GOLDEN = (
-    GoldenValue("plain", 1, 0.25, tol=1e-12),
-    GoldenValue("plain", 2, 0.1875, tol=1e-12),
-    GoldenValue("plain", 3, 0.15234375, tol=1e-12),
-    GoldenValue("phi", 1, -0.25, tol=1e-12),
-    GoldenValue("phi", 2, -0.025, tol=1e-12),
-    GoldenValue("phi", 3, -0.00030487804878048784, tol=1e-12),
-)
-
-_KVB_GOLDEN = (
-    GoldenValue("plain", 1, 2.391422135261736, mode="rel", tol=1e-9),
-    GoldenValue("plain", 1, -0.4699667, part="im", tol=2e-7),
-    GoldenValue("plain", 2, -190.6272479365824, mode="rel", tol=1e-9),
-    GoldenValue("plain", 2, 83.78040, part="im", tol=2e-5),
-    GoldenValue("plain", 3, -1.078985533e45, mode="rel", tol=1e-9),
-    GoldenValue("plain", 3, 2.057e45, part="im", mode="rel", tol=1e-3),
-    GoldenValue("standard", 1, 2.033556020548597, mode="rel", tol=1e-9),
-    GoldenValue("standard", 1, 0.0804529, part="im", tol=2e-7),
-    GoldenValue("standard", 2, 2.010056510555553, mode="rel", tol=1e-9),
-    GoldenValue("standard", 2, -0.01717596, part="im", tol=1e-7),
-    GoldenValue("standard", 3, 2.000502552323976, mode="rel", tol=1e-9),
-    GoldenValue("standard", 3, 0.0010266, part="im", tol=1e-6),
-    GoldenValue("standard", 4, 2.000002378186929, mode="rel", tol=1e-9),
-    GoldenValue("standard", 4, -3.083e-6, part="im", tol=1e-8),
-    GoldenValue("standard", 5, 1.999999999946048, mode="rel", tol=1e-9),
-    GoldenValue("standard", 5, 0.0, part="im", tol=1e-9),
-)
-
-
 # ---------- corpus ----------
 
 
 def _build_sin(params: dict) -> ProblemSpec:
     _reject_params("sin", params)
-    return ProblemSpec(IterationMap("sin", jets.sin), 3.0, 0.0, _SIN_GOLDEN)
+    return ProblemSpec(IterationMap("sin", jets.sin), 3.0, 0.0)
 
 
 def _build_logistic(params: dict) -> ProblemSpec:
@@ -227,10 +141,7 @@ def _build_logistic(params: dict) -> ProblemSpec:
     a = float(a)
     if a == 0.0:
         raise CorpusError("a=0 collapses the logistic map to a constant")
-    fn = _logistic_fn(a)
-    if a == 1.0:
-        return ProblemSpec(IterationMap("logistic(a=1)", fn), 0.5, 0.0, _LOGISTIC_GOLDEN)
-    return ProblemSpec(IterationMap(f"logistic(a={a:g})", fn), 0.5, (a - 1.0) / a)
+    return ProblemSpec(IterationMap(f"logistic(a={a:g})", _logistic_fn(a)), 0.5, (a - 1.0) / a)
 
 
 def _build_fdil(params: dict) -> ProblemSpec:
@@ -269,7 +180,7 @@ def _build_s_family(params: dict) -> ProblemSpec:
 def _build_kvb(params: dict) -> ProblemSpec:
     _reject_params("kvb_complex", params)
     m = IterationMap("kvb_complex", _kvb_fn)
-    return ProblemSpec(m, complex(1.9, 0.1), complex(2.0, 0.0), _KVB_GOLDEN)
+    return ProblemSpec(m, complex(1.9, 0.1), complex(2.0, 0.0))
 
 
 _REQUIRED = object()
@@ -282,6 +193,8 @@ def _pop_number(params: dict, problem: str, key: str, default=_REQUIRED):
         raise CorpusError(f"{problem} needs parameter {key}")
     if isinstance(value, (tuple, list)):
         raise CorpusError(f"{problem} parameter {key} takes one number, got {value!r}")
+    if not is_finite(value):
+        raise CorpusError(f"{problem} parameter {key} must be finite, got {value!r}")
     return value
 
 

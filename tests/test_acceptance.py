@@ -11,7 +11,7 @@ import time
 
 from fpaccel import jets
 from fpaccel.accelerators import first_newton_step, integral_step, standard_step
-from fpaccel.cli import run_experiment
+from fpaccel.cli import _SUITES, run_experiment
 from fpaccel.jets import lift, pow_real
 from fpaccel.kernel import affinity_test, kernel_family_fit
 from fpaccel.maps import corpus_lookup, kernel_family_map
@@ -25,10 +25,11 @@ def _verdict(label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{label}{tail}"
 
 
-def _golden_failures(prob, columns, methods) -> list:
+def _golden_failures(suite, columns, methods) -> list:
+    """Misses among the CLI suite's reference cells in the given method columns."""
     by = {c.method: c for c in columns}
     bad = []
-    for gv in prob.golden:
+    for gv in _SUITES[suite].golden:
         if gv.method not in methods:
             continue
         ok, detail = gv.check(by[gv.method].values[gv.index])
@@ -42,7 +43,7 @@ def test_sine_step_columns():
     prob = corpus_lookup("sin")
     exp = run_experiment(prob, ["plain", "first_newton", "standard"], None, 4)
     elapsed = time.perf_counter() - t0
-    bad = _golden_failures(prob, exp.columns, ("plain", "first_newton", "standard"))
+    bad = _golden_failures("table1", exp.columns, ("plain", "first_newton", "standard"))
     _verdict(
         "sine iterates and both accelerated step columns match the reference table",
         not bad and elapsed < 1.0,
@@ -53,7 +54,7 @@ def test_sine_step_columns():
 def test_sine_sequence_transforms():
     prob = corpus_lookup("sin")
     exp = run_experiment(prob, ["aitken", "theta2"], None, 4)
-    bad = _golden_failures(prob, exp.columns, ("aitken", "theta2"))
+    bad = _golden_failures("table1", exp.columns, ("aitken", "theta2"))
     _verdict(
         "aitken and theta2 columns on the sine iterates match the reference table",
         not bad,
@@ -74,7 +75,7 @@ def test_tangency_shift_on_logistic():
         and phi[2] == -0.025
         and abs(phi[3] - -0.00030487804878048784) <= 1e-12
     )
-    bad = _golden_failures(prob, exp.columns, ("plain", "phi"))
+    bad = _golden_failures("table2", exp.columns, ("plain", "phi"))
     _verdict(
         "shifted-map accelerator on the neutral logistic reproduces the exact column",
         exact and not bad,
@@ -110,7 +111,7 @@ def test_complex_blowup_and_recovery():
         and abs(plain.values[3]) > 1e30
     )
     recovered = abs(std.values[5] - 2.0) <= 1e-9
-    bad = _golden_failures(prob, exp.columns, ("plain", "standard"))
+    bad = _golden_failures("table3", exp.columns, ("plain", "standard"))
     _verdict(
         "complex iteration blows up plainly but the second step recovers the root",
         blew_up and recovered and not bad and elapsed < 1.0,

@@ -5,8 +5,10 @@ from render_reference import reference_csv, reference_json, reference_markdown
 
 from fpaccel import Status
 from fpaccel.cli import (
+    _SUITES,
     METHODS,
     Experiment,
+    GoldenValue,
     MethodColumn,
     UsageError,
     _parse_params,
@@ -176,6 +178,38 @@ def test_unknown_suite(capsys):
     rc, out, err = _run(capsys, ["--suite", "table9"])
     assert rc == 2
     assert "unknown suite" in err
+    # every name is checked before any suite runs
+    rc, out, err = _run(capsys, ["--suite", "table1", "--suite", "table9"])
+    assert rc == 2
+    assert err.startswith("error: unknown suite 'table9'")
+    assert out == ""
+
+
+def test_suite_cells_name_their_own_columns():
+    assert {name: len(s.golden) for name, s in _SUITES.items()} == {"table1": 17, "table2": 6, "table3": 16}
+    for suite in _SUITES.values():
+        for gv in suite.golden:
+            assert gv.method in suite.methods, (suite.problem, gv)
+            assert 0 <= gv.index <= suite.max_iter, (suite.problem, gv)
+
+
+def test_golden_value_modes():
+    ok, _ = GoldenValue("m", 0, 0.5, tol=1e-3).check(0.5004)
+    assert ok
+    ok, _ = GoldenValue("m", 0, 0.5, tol=1e-3).check(0.502)
+    assert not ok
+    ok, _ = GoldenValue("m", 0, 100.0, mode="rel", tol=1e-2).check(100.9)
+    assert ok
+    ok, _ = GoldenValue("m", 0, 1e-12, mode="factor", tol=10.0).check(5e-12)
+    assert ok
+    ok, _ = GoldenValue("m", 0, 1e-12, mode="factor", tol=10.0).check(5e-11)
+    assert not ok
+    ok, _ = GoldenValue("m", 0, 0.25, part="im", tol=1e-6).check(complex(9.0, 0.25))
+    assert ok
+    with pytest.raises(ValueError):
+        GoldenValue("m", 0, 1.0, part="bogus").check(1.0)
+    with pytest.raises(ValueError):
+        GoldenValue("m", 0, 1.0, mode="bogus").check(1.0)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +246,13 @@ def test_unknown_suite(capsys):
         ["--problem", "sin", "--method", "plain:1"],
         ["--problem", "sin", "--method", "compose:aitken:2"],
         ["--problem", "sin", "--method", "iterated_aitken"],
+        ["--problem", "logistic", "--param", "a=nan"],
+        ["--problem", "logistic", "--param", "a=inf"],
+        ["--problem", "power_family", "--param", "alpha=1", "--param", "r=3", "--param", "x_star=nan"],
+        ["--problem", "power_family", "--param", "alpha=-inf", "--param", "r=3"],
+        ["--problem", "s_family", "--param", "alphas=1,nan", "--param", "r=1"],
+        ["--problem", "s_family", "--param", "alphas=inf", "--param", "r=1"],
+        ["--problem", "s_family", "--param", "alphas=1", "--param", "r=1", "--param", "x_star=inf"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -1,7 +1,8 @@
 """Pin the bytes the CLI prints, one short sha256 per command line.
 
-Every start line runs with every method line in every format, and each
-golden suite runs alone.  A digest covers the exit code, stdout and
+Every start line runs with every method line in every format; each
+golden suite runs alone, all three run together as CI runs them, and an
+unknown name after a known one runs none.  A digest covers the exit code, stdout and
 stderr of ``fpaccel.cli.main`` run in-process.  The digests live in
 ``cli_bytes.sha256`` next to this file; a change to the CLI's output
 fails the test with every command line whose bytes moved.
@@ -61,7 +62,13 @@ METHOD_LINES = (
     "--method iterated_aitken:50 --max-iter 5",
 )
 FORMATS = ("markdown", "csv", "json")
-SUITES = ("--suite table1", "--suite table2", "--suite table3")
+SUITES = (
+    "--suite table1",
+    "--suite table2",
+    "--suite table3",
+    "--suite table1 --suite table2 --suite table3",
+    "--suite table1 --suite table9",
+)
 
 
 def command_lines():

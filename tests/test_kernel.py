@@ -198,13 +198,10 @@ def test_line_fit_matches_exact_normal_equations():
             assert abs(res - res_ref) <= 1e-12 * (1.0 + res_ref)
 
 
-def test_cli_import_leaves_numpy_dataclasses_and_inspect_out():
+def _modules_added_by(statement: str, names: set) -> str:
     # only what the import itself adds counts, whatever site or a .pth loaded before it
     src = str(Path(fpaccel.__file__).resolve().parent.parent)
-    code = (
-        "import sys; before = set(sys.modules); import fpaccel.cli; "
-        "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    )
+    code = f"import sys; before = set(sys.modules); {statement}; print(sorted({names!r} & (set(sys.modules) - before)))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -212,7 +209,16 @@ def test_cli_import_leaves_numpy_dataclasses_and_inspect_out():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_dataclasses_and_inspect_out():
+    assert _modules_added_by("import fpaccel.cli", {"numpy", "dataclasses", "inspect"}) == "[]"
+
+
+def test_package_import_leaves_the_cli_out():
+    # GoldenValue and the suites live in fpaccel.cli, which the package does not import
+    assert _modules_added_by("import fpaccel", {"fpaccel.cli", "argparse"}) == "[]"
 
 
 def test_family_fit_skips_bad_probes():

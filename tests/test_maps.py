@@ -7,7 +7,6 @@ from fpaccel import jets
 from fpaccel.jets import Jet2, is_finite, lift
 from fpaccel.maps import (
     CorpusError,
-    GoldenValue,
     corpus_lookup,
     corpus_names,
     kernel_family_map,
@@ -305,29 +304,18 @@ def test_corpus_errors():
             corpus_lookup("power_family", alpha=1.0, r=bad)
         with pytest.raises(CorpusError):
             corpus_lookup("s_family", alphas=(1.0,), r=bad)
-
-
-def test_golden_value_modes():
-    ok, _ = GoldenValue("m", 0, 0.5, tol=1e-3).check(0.5004)
-    assert ok
-    ok, _ = GoldenValue("m", 0, 0.5, tol=1e-3).check(0.502)
-    assert not ok
-    ok, _ = GoldenValue("m", 0, 100.0, mode="rel", tol=1e-2).check(100.9)
-    assert ok
-    ok, _ = GoldenValue("m", 0, 1e-12, mode="factor", tol=10.0).check(5e-12)
-    assert ok
-    ok, _ = GoldenValue("m", 0, 1e-12, mode="factor", tol=10.0).check(5e-11)
-    assert not ok
-    ok, _ = GoldenValue("m", 0, 0.25, part="im", tol=1e-6).check(complex(9.0, 0.25))
-    assert ok
-    with pytest.raises(ValueError):
-        GoldenValue("m", 0, 1.0, part="bogus").check(1.0)
-    with pytest.raises(ValueError):
-        GoldenValue("m", 0, 1.0, mode="bogus").check(1.0)
-
-
-def test_golden_attached_to_table_problems():
-    assert len(corpus_lookup("sin").golden) == 17
-    assert len(corpus_lookup("logistic", a=1.0).golden) == 6
-    assert len(corpus_lookup("logistic", a=3.2).golden) == 0
-    assert len(corpus_lookup("kvb_complex").golden) == 16
+        with pytest.raises(CorpusError, match="alphas"):
+            corpus_lookup("s_family", alphas=(1.0, bad), r=1.0)
+        with pytest.raises(CorpusError, match="x_star"):
+            corpus_lookup("s_family", alphas=(1.0,), r=1.0, x_star=bad)
+        with pytest.raises(CorpusError, match="parameter a "):
+            corpus_lookup("logistic", a=bad)
+        for key in ("alpha", "x_star"):
+            with pytest.raises(CorpusError, match=key):
+                corpus_lookup("power_family", **{"alpha": 1.0, "r": 3.0, key: bad})
+        with pytest.raises(CorpusError, match="alpha"):
+            kernel_family_map(bad, 2.0, 0.0)
+        with pytest.raises(CorpusError, match="alpha"):
+            kernel_family_map(complex(1.0, bad), 2.0, 0.0)
+        with pytest.raises(CorpusError, match="x_star"):
+            kernel_family_map(1.0, 2.0, bad)
