@@ -385,13 +385,13 @@ _SUITES = {
 def run_suite(names: list) -> int:
     """Re-run the bundled reference experiments and check every golden value.
 
-    Every name is looked up before any suite runs.  Prints one PASS/FAIL
-    line per check; exit status is nonzero iff any check fails.
+    Every name is looked up before any suite runs, and an unknown one raises
+    :class:`UsageError`.  Prints one PASS/FAIL line per check; exit status
+    is nonzero iff any check fails.
     """
     unknown = [name for name in names if name not in _SUITES]
     if unknown:
-        print(f"error: unknown suite {unknown[0]!r}; have {', '.join(sorted(_SUITES))}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown suite {unknown[0]!r}; have {', '.join(sorted(_SUITES))}")
     failures = total = 0
     for name in names:
         suite = _SUITES[name]

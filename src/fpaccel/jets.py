@@ -82,6 +82,19 @@ class SingularJetError(ZeroDivisionError):
 is_finite = cmath.isfinite
 
 
+class Recorder:
+    """Base of a symbol that records the elementary functions applied to it.
+
+    :mod:`fpaccel.tape` runs a map body on such a symbol to trace it.
+    ``math`` rejects the symbol, and so does any comparison, with a
+    ``TypeError``; each elementary function catches that and hands the
+    call to the symbol's method of the same name, so the float, complex
+    and :class:`Jet2` paths run no extra test.
+    """
+
+    __slots__ = ()
+
+
 class Jet2:
     """Truncated Taylor triple ``(v0, v1, v2)``: value, slope, curvature.
 
@@ -235,6 +248,10 @@ def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
             s, c = math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError("sin of an infinite argument") from None
+    except TypeError:
+        if isinstance(a, Recorder):
+            return a.sin()
+        raise
     a1 = a.v1
     return Jet2(s, c * a1, -s * a1 * a1 + c * a.v2)
 
@@ -250,6 +267,10 @@ def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
             s, c = math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError("cos of an infinite argument") from None
+    except TypeError:
+        if isinstance(a, Recorder):
+            return a.cos()
+        raise
     a1, ms = a.v1, -s
     return Jet2(c, ms * a1, -c * a1 * a1 + ms * a.v2)
 
@@ -265,6 +286,10 @@ def sin_cos(a: Jet2 | Scalar) -> tuple[Jet2, Jet2] | tuple[Scalar, Scalar]:
             s, c = math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError("sin_cos of an infinite argument") from None
+    except TypeError:
+        if isinstance(a, Recorder):
+            return a.sin_cos()
+        raise
     if not jet:
         return s, c
     a1, a2, ms = a.v1, a.v2, -s
@@ -279,6 +304,10 @@ def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
         e = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
     except ValueError:
         raise OverflowError("exp of an infinite argument") from None
+    except TypeError:
+        if isinstance(a, Recorder):
+            return a.exp()
+        raise
     a1 = a.v1
     return Jet2(e, e * a1, e * a1 * a1 + e * a.v2)
 
@@ -324,7 +353,13 @@ def pow_real(a: Jet2 | Scalar, exponent: float) -> Jet2 | Scalar:
     if type(z) is not float or not z > 0.0:
         cplx = isinstance(z, complex)
         integral = b == int(b)
-        if z == 0:
+        try:
+            is_zero = z == 0
+        except TypeError:
+            if isinstance(a, Recorder):
+                return a.pow_real(b)
+            raise
+        if is_zero:
             zero = complex(0.0) if cplx else 0.0
             if b == 0.0:
                 one = zero + 1.0

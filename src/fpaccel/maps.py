@@ -9,6 +9,7 @@ reference cells the CLI suites check live with those suites, in
 from __future__ import annotations
 
 import math
+from types import FunctionType
 from typing import Callable, NamedTuple, Optional
 
 from . import jets
@@ -28,6 +29,12 @@ class CorpusError(ValueError):
     """Unknown problem name or invalid problem parameters."""
 
 
+# Calls of IterationMap.at on one body before the body is traced into
+# straight-line code: tracing, compiling and checking a corpus body take
+# 0.15-0.6 ms, which 150 (kvb_complex) to 800 (sin) compiled calls save.
+COMPILE_AFTER = 1000
+
+
 class IterationMap(NamedTuple):
     """A named self-map u.
 
@@ -35,6 +42,16 @@ class IterationMap(NamedTuple):
     :meth:`value` on a bare float or complex, so the body uses only
     arithmetic and the elementary functions of :mod:`fpaccel.jets`, and
     raises a fractional power with ``jets.pow_real`` rather than ``**``.
+
+    The body must be a pure function of its argument.  After
+    ``COMPILE_AFTER`` calls of :meth:`at` on one body (a plain function),
+    :mod:`fpaccel.tape` traces it once into straight-line code that gives
+    the same bits, and :meth:`at` runs that code from then on; constants
+    the body reads from closures or globals are captured at that moment.
+    A body that cannot be traced, or whose code fails the bitwise check
+    against :class:`Jet2`, stays on :class:`Jet2`.  The state lives on
+    the body, as its attribute ``_fpaccel_at``: the call count, then the
+    compiled function or None.
     """
 
     name: str
@@ -42,7 +59,21 @@ class IterationMap(NamedTuple):
 
     def at(self, x: Scalar) -> Jet2:
         """Evaluate the map and its first two derivatives at ``x``."""
-        return self.fn(lift(x))
+        fn = self.fn
+        compiled = getattr(fn, "_fpaccel_at", 0)
+        if type(compiled) is int:
+            if compiled < COMPILE_AFTER:
+                # only a plain function counts: a bound method shares its
+                # function's attributes, and other callables may hold none
+                if type(fn) is FunctionType:
+                    fn._fpaccel_at = compiled + 1
+                return fn(lift(x))
+            from . import tape  # here, so that import fpaccel does not load it
+
+            compiled = fn._fpaccel_at = tape.compile_at(fn, x)
+        if compiled is None:
+            return fn(lift(x))
+        return compiled(x)
 
     def value(self, x: Scalar) -> Scalar:
         """Evaluate the map alone at ``x``; equals ``at(x).v0``."""

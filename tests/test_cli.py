@@ -183,6 +183,10 @@ def test_unknown_suite(capsys):
     assert rc == 2
     assert err.startswith("error: unknown suite 'table9'")
     assert out == ""
+    # a direct caller gets the error main prints
+    with pytest.raises(UsageError, match="unknown suite 'table9'"):
+        run_suite(["table1", "table9"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_suite_cells_name_their_own_columns():

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from fpaccel import jets
-from fpaccel.jets import Jet2, is_finite, lift
+from fpaccel import jets, tape
+from fpaccel.jets import Jet2, JetDomainError, is_finite, lift
 from fpaccel.maps import (
     CorpusError,
+    IterationMap,
     corpus_lookup,
     corpus_names,
     kernel_family_map,
@@ -112,7 +113,7 @@ def _outcome_bits(compute):
     # every component by (type, repr), so -0.0 is told from 0.0; or the exception type
     try:
         out = compute()
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         return type(exc)
     return tuple((type(v), repr(v)) for v in (out.as_tuple() if isinstance(out, Jet2) else (out,)))
 
@@ -203,6 +204,15 @@ def _kernel_draws(rng, n=60):
     return out
 
 
+def _every_operation(x):
+    # division both ways, negation, unary plus, **, int and complex constants,
+    # and each elementary function of a jet whose curvature is not zero
+    y = 0.5 * x * x - x
+    s, c = jets.sin_cos(y)
+    q = (s * c - jets.cos(-y)) / (x * x + 1.0) + 2 / (3 - (+x)) + y**2
+    return q - complex(0.5, -0.25) * c + jets.sin(y) * jets.exp(0.25 * y)
+
+
 _VALUE_CASES = {
     "sin": lambda rng: [(corpus_lookup("sin").map, _real_points(rng, -4.0, 4.0))],
     "logistic_a1": lambda rng: [
@@ -245,6 +255,12 @@ _VALUE_CASES = {
         )
     ],
     "kernel_family": _kernel_draws,
+    "every_operation": lambda rng: [
+        (
+            IterationMap("every_operation", _every_operation),
+            [0.0, -0.0] + _real_points(rng, -2.0, 2.0) + _complex_points(rng, 0.0, 2.0),
+        )
+    ],
     # a -0.0 imaginary part puts x_star on the branch cut of the power
     "kernel_family_branch_cut": lambda rng: [
         (kernel_family_map(1.0, 1.5, complex(-1.0, -0.0)), [0.5] + _real_points(rng, -3.0, 1.0))
@@ -253,21 +269,29 @@ _VALUE_CASES = {
 
 _LEAVE_DOMAIN = {"fdil", "power_family_fractional", "s_family_fractional", "kernel_family"}
 
+_SPECIAL_POINTS = (0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan, complex(2.0, 0.0))
+
 
 @pytest.mark.parametrize("case", sorted(_VALUE_CASES))
 def test_value_path_matches_jet_value(case):
     # the map body run on a bare scalar must give exactly the v0 of its
-    # jet evaluation, or raise the same exception class
+    # jet evaluation, and the body's traced code (built directly, not after
+    # the calls that compile it in IterationMap.at) every component of it,
+    # or each must raise the same exception class
     rng = random.Random(f"value-path-{case}")
-    raised = 0
+    left_domain = 0
     for u, pts in _VALUE_CASES[case](rng):
-        for x in pts:
-            want = _outcome(lambda t: u.at(t).v0, x)
+        compiled = tape.trace(u.fn)
+        assert compiled is not None, u.name
+        for x in [*pts, *_SPECIAL_POINTS]:
+            want = _outcome(lambda t: u.fn(lift(t)).v0, x)
             got = _outcome(u.value, x)
             assert type(got) is type(want), (u.name, x, got, want)
             assert repr(got) == repr(want), (u.name, x, got, want)
-            raised += isinstance(want, type)
-    assert (raised > 0) == (case in _LEAVE_DOMAIN)
+            bits = _outcome_bits(lambda: compiled(x))
+            assert bits == _outcome_bits(lambda: u.fn(lift(x))), (u.name, x, bits)
+            left_domain += want is JetDomainError
+    assert (left_domain > 0) == (case in _LEAVE_DOMAIN)
 
 
 def test_corpus_errors():
