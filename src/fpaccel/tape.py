@@ -295,10 +295,6 @@ def compile_at(fn: Callable, x: Scalar) -> Optional[Callable[[Scalar], Jet2]]:
     def on_jet(p):
         return fn(lift(p))
 
-    try:
-        points = (x, x + 1.0, x - 1.0, -x)
-    except TypeError:
-        return None
-    if all(_outcome(at, p) == _outcome(on_jet, p) for p in points):
+    if all(_outcome(at, p) == _outcome(on_jet, p) for p in (x, x + 1.0, x - 1.0, -x)):
         return at
     return None

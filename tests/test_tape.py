@@ -13,15 +13,6 @@ from fpaccel.maps import COMPILE_AFTER, IterationMap, corpus_lookup
 POINTS = (0.3, -1.25, 2.0, complex(0.5, -0.25), 0.0, math.inf)
 
 
-def _bits(compute):
-    # every component by (type, repr), or the exception type
-    try:
-        out = compute()
-    except Exception as exc:
-        return type(exc)
-    return tuple((type(v), repr(v)) for v in (out.as_tuple() if isinstance(out, Jet2) else (out,)))
-
-
 def _branches_on_v0(x):
     return x * x if x.v0 > 0.0 else -x
 
@@ -68,7 +59,7 @@ def test_untraceable_bodies_stay_on_jet2(name):
     u = IterationMap(name, fn)
     for i in range(COMPILE_AFTER + 5):
         x = POINTS[i % len(POINTS)]
-        assert _bits(lambda: u.at(x)) == _bits(lambda: fn(lift(x))), (i, x)
+        assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x), (i, x)
     # decided once: a plain function holds None, a bound method nothing
     if name == "bound_method":
         assert "_fpaccel_at" not in vars(fn.__func__)
@@ -99,7 +90,7 @@ def test_compiled_code_is_used_and_freed_with_its_body():
     compiled = u.fn._fpaccel_at
     assert callable(compiled)
     for x in POINTS:
-        assert _bits(lambda: u.at(x)) == _bits(lambda: u.fn(lift(x))), x
+        assert tape._outcome(u.at, x) == tape._outcome(lambda p: u.fn(lift(p)), x), x
     ref = weakref.ref(compiled)
     del compiled, u
     gc.collect()
