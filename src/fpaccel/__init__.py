@@ -34,7 +34,6 @@ from .jets import (
     Jet2,
     JetDomainError,
     Scalar,
-    SingularJetError,
     const,
     is_finite,
     lift,
@@ -75,7 +74,6 @@ __all__ = [
     "ProblemSpec",
     "QuadratureError",
     "Scalar",
-    "SingularJetError",
     "Status",
     "StepOutcome",
     "adaptive_gauss_kronrod",

@@ -96,8 +96,7 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-# Exceptions a map or step may raise on a bad point; error_status names the
-# stop.  SingularJetError is a ZeroDivisionError subclass.
+# Exceptions a map or step may raise on a bad point; error_status names the stop.
 STEP_ERRORS = (OverflowError, ZeroDivisionError, JetDomainError, QuadratureError)
 
 

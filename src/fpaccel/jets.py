@@ -57,7 +57,6 @@ Scalar = Union[float, complex]
 __all__ = [
     "Jet2",
     "JetDomainError",
-    "SingularJetError",
     "Scalar",
     "const",
     "cos",
@@ -74,22 +73,22 @@ class JetDomainError(ValueError):
     """Elementary function evaluated outside its domain."""
 
 
-class SingularJetError(ZeroDivisionError):
-    """Division by a jet whose value component is exactly zero."""
-
-
 # True when every component of a float or complex is finite (no inf, no nan)
 is_finite = cmath.isfinite
 
 
 class Recorder:
-    """Base of a symbol that records the elementary functions applied to it.
+    """Base of a scalar that records the operations applied to it.
 
-    :mod:`fpaccel.tape` runs a map body on such a symbol to trace it.
-    ``math`` rejects the symbol, and so does any comparison, with a
-    ``TypeError``; each elementary function catches that and hands the
-    call to the symbol's method of the same name, so the float, complex
-    and :class:`Jet2` paths run no extra test.
+    :mod:`fpaccel.tape` traces a map body by running it on a :class:`Jet2`
+    whose value is such a scalar, so :class:`Jet2`'s own arithmetic makes
+    every recorded operation.  ``math`` rejects the scalar, and so does any
+    comparison, with a ``TypeError``.  :func:`sin`, :func:`cos`,
+    :func:`sin_cos` and :func:`exp` catch that, take their ``math`` results
+    from its ``calls(what, *functions)`` and go on to their own chain rule;
+    :func:`pow_real` hands the jet and exponent to its ``pow_real``, which
+    records the run-time branch to ``math.pow``.  The float, complex and
+    :class:`Jet2` paths run no extra test.
     """
 
     __slots__ = ()
@@ -205,8 +204,7 @@ def _scalar(x):
 
 
 def _div(a: Jet2, b: Jet2) -> Jet2:
-    if b.v0 == 0:
-        raise SingularJetError("division by a jet with zero value")
+    # a zero value raises ZeroDivisionError, as it does on bare scalars
     q0 = a.v0 / b.v0
     q1 = (a.v1 - q0 * b.v1) / b.v0
     q2 = (a.v2 - 2.0 * (q1 * b.v1) - q0 * b.v2) / b.v0
@@ -249,9 +247,9 @@ def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
     except ValueError:
         raise OverflowError("sin of an infinite argument") from None
     except TypeError:
-        if isinstance(a, Recorder):
-            return a.sin()
-        raise
+        if not isinstance(getattr(a, "v0", None), Recorder):
+            raise
+        s, c = a.v0.calls("sin", "sin", "cos")
     a1 = a.v1
     return Jet2(s, c * a1, -s * a1 * a1 + c * a.v2)
 
@@ -268,9 +266,9 @@ def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
     except ValueError:
         raise OverflowError("cos of an infinite argument") from None
     except TypeError:
-        if isinstance(a, Recorder):
-            return a.cos()
-        raise
+        if not isinstance(getattr(a, "v0", None), Recorder):
+            raise
+        s, c = a.v0.calls("cos", "sin", "cos")
     a1, ms = a.v1, -s
     return Jet2(c, ms * a1, -c * a1 * a1 + ms * a.v2)
 
@@ -287,9 +285,9 @@ def sin_cos(a: Jet2 | Scalar) -> tuple[Jet2, Jet2] | tuple[Scalar, Scalar]:
     except ValueError:
         raise OverflowError("sin_cos of an infinite argument") from None
     except TypeError:
-        if isinstance(a, Recorder):
-            return a.sin_cos()
-        raise
+        if not isinstance(z, Recorder):
+            raise
+        s, c = z.calls("sin_cos", "sin", "cos")
     if not jet:
         return s, c
     a1, a2, ms = a.v1, a.v2, -s
@@ -305,9 +303,9 @@ def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
     except ValueError:
         raise OverflowError("exp of an infinite argument") from None
     except TypeError:
-        if isinstance(a, Recorder):
-            return a.exp()
-        raise
+        if not isinstance(getattr(a, "v0", None), Recorder):
+            raise
+        (e,) = a.v0.calls("exp", "exp")
     a1 = a.v1
     return Jet2(e, e * a1, e * a1 * a1 + e * a.v2)
 
@@ -356,8 +354,8 @@ def pow_real(a: Jet2 | Scalar, exponent: float) -> Jet2 | Scalar:
         try:
             is_zero = z == 0
         except TypeError:
-            if isinstance(a, Recorder):
-                return a.pow_real(b)
+            if isinstance(z, Recorder):
+                return z.pow_real(a, b)
             raise
         if is_zero:
             zero = complex(0.0) if cplx else 0.0

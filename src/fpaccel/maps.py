@@ -31,7 +31,7 @@ class CorpusError(ValueError):
 
 # Calls of IterationMap.at on one body before the body is traced into
 # straight-line code: tracing, compiling and checking a corpus body take
-# 0.15-0.6 ms, which 150 (kvb_complex) to 800 (sin) compiled calls save.
+# 0.25-2.4 ms, which 125 (fdil) to 800 (sin) compiled calls save.
 COMPILE_AFTER = 1000
 
 
@@ -45,13 +45,15 @@ class IterationMap(NamedTuple):
 
     The body must be a pure function of its argument.  After
     ``COMPILE_AFTER`` calls of :meth:`at` on one body (a plain function),
-    :mod:`fpaccel.tape` traces it once into straight-line code that gives
-    the same bits, and :meth:`at` runs that code from then on; constants
-    the body reads from closures or globals are captured at that moment.
-    A body that cannot be traced, or whose code fails the bitwise check
-    against :class:`Jet2`, stays on :class:`Jet2`.  The state lives on
-    the body, as its attribute ``_fpaccel_at``: the call count, then the
-    compiled function or None.
+    :mod:`fpaccel.tape` runs it once on a :class:`Jet2` whose value
+    records every operation, and writes those operations out as
+    straight-line code that gives the same bits; :meth:`at` runs that
+    code from then on, and constants the body reads from closures or
+    globals are captured at that moment.  A body that compares or
+    branches on its argument's value, that returns no jet, or whose code
+    fails the bitwise check against :class:`Jet2` stays on :class:`Jet2`.
+    The state lives on the body, as its attribute ``_fpaccel_at``: the
+    call count, then the compiled function or None.
     """
 
     name: str

@@ -269,7 +269,8 @@ _VALUE_CASES = {
 
 _LEAVE_DOMAIN = {"fdil", "power_family_fractional", "s_family_fractional", "kernel_family"}
 
-_SPECIAL_POINTS = (0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan, complex(2.0, 0.0))
+# 3.0 is the pole of every_operation's 2 / (3 - x)
+_SPECIAL_POINTS = (0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan, complex(2.0, 0.0), 3.0)
 
 
 @pytest.mark.parametrize("case", sorted(_VALUE_CASES))

@@ -25,6 +25,10 @@ def _tests_type(x):
     return x * 2.0 if isinstance(x, Jet2) else x + x + x
 
 
+def _tests_value_type(x):
+    return x * 2.0 if isinstance(x.v0, float) else x + x + x
+
+
 def _bad_exponent(x):
     return jets.pow_real(x, math.nan)
 
@@ -44,7 +48,6 @@ class _Shifted:
 _FALLBACKS = {
     "branches_on_v0": _branches_on_v0,
     "compares": _compares,
-    "tests_type": _tests_type,
     "bad_exponent": _bad_exponent,
     "constant": _constant,
     "bound_method": _Shifted(0.25).u,
@@ -67,11 +70,98 @@ def test_untraceable_bodies_stay_on_jet2(name):
         assert vars(fn)["_fpaccel_at"] is None
 
 
+def test_type_testing_body_compiles_on_its_jet2_branch():
+    # the trace runs on a Jet2, so it takes the branch the Jet2 path takes
+    u = IterationMap("tests_type", _tests_type)
+    for i in range(COMPILE_AFTER + 5):
+        x = POINTS[i % len(POINTS)]
+        assert tape._outcome(u.at, x) == tape._outcome(lambda p: _tests_type(lift(p)), x), (i, x)
+    assert callable(vars(_tests_type)["_fpaccel_at"])
+
+
 def test_tests_type_body_traces_but_fails_the_check():
-    # the trace takes the non-Jet2 branch; only the bitwise check rejects it
-    compiled = tape.trace(_tests_type)
+    # the traced value is no float, so the trace takes the other branch;
+    # only the bitwise check rejects it
+    compiled = tape.trace(_tests_value_type)
     assert compiled is not None
-    assert compiled(0.3).as_tuple() != _tests_type(lift(0.3)).as_tuple()
+    assert compiled(0.3).as_tuple() != _tests_value_type(lift(0.3)).as_tuple()
+    assert tape.compile_at(_tests_value_type, 0.3) is None
+
+
+def test_the_tape_has_no_formulas_of_its_own(monkeypatch):
+    # a product rule without its cross term reaches the traced code as well
+    def mul(a, b):
+        if type(b) is not Jet2:
+            return NotImplemented
+        return Jet2(a.v0 * b.v0, a.v0 * b.v1 + a.v1 * b.v0, a.v0 * b.v2 + a.v2 * b.v0)
+
+    def body(x):
+        return jets.sin(x) * (x * x)
+
+    product_rule = body(lift(0.3)).as_tuple()
+    monkeypatch.setattr(Jet2, "__mul__", mul)
+    monkeypatch.setattr(Jet2, "__rmul__", mul)
+    compiled = tape.trace(body)
+    assert compiled is not None
+    for x in POINTS:
+        assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
+    assert compiled(0.3).as_tuple() != product_rule
+
+
+def test_non_finite_constants_compile():
+    # inf and nan have no literal, so the emitted code binds them by name
+    def body(x):
+        return x * math.inf - math.nan
+
+    compiled = tape.compile_at(body, 0.3)
+    assert compiled is not None
+    for x in POINTS:
+        assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
+
+
+_COEFFS = [1.0 + i / 7.0 for i in range(300)]
+
+
+def _long_sum(x):
+    # a series: inlined whole, each jet component would nest 300 parentheses deep
+    return sum((x * c for c in _COEFFS), 0.0)
+
+
+def test_a_long_sum_compiles_and_matches():
+    u = IterationMap("long_sum", _long_sum)
+    for i in range(COMPILE_AFTER + 5):
+        x = POINTS[i % len(POINTS)]
+        assert tape._outcome(u.at, x) == tape._outcome(lambda p: _long_sum(lift(p)), x), (i, x)
+    assert callable(vars(_long_sum)["_fpaccel_at"])
+
+
+def test_code_that_cannot_compile_falls_back(monkeypatch):
+    # with no bound on inlining the sum passes CPython's parenthesis limit
+    monkeypatch.setattr(tape, "_NESTING", 10_000)
+    assert tape.trace(_long_sum) is None
+    u = IterationMap("long_sum", lambda x: _long_sum(x))
+    for i in range(COMPILE_AFTER + 5):
+        x = POINTS[i % len(POINTS)]
+        assert tape._outcome(u.at, x) == tape._outcome(lambda p: _long_sum(lift(p)), x), (i, x)
+    assert vars(u.fn)["_fpaccel_at"] is None
+
+
+def _raises_twice(x):
+    # at each point both the division and the sine raise; the division comes first
+    return 1.0 / (x * 0.0) + jets.sin(x * 1e308 * 10.0)
+
+
+@pytest.mark.parametrize("x", [1.0, -2.0, complex(1.0, 0.5)])
+def test_exception_order_survives_inlining(x):
+    with pytest.raises(OverflowError):
+        jets.sin(lift(x) * 1e308 * 10.0)
+    compiled = tape.trace(_raises_twice)
+    assert compiled is not None
+    u = IterationMap("raises_twice", _raises_twice)
+    for evaluate in (compiled, lambda p: _raises_twice(lift(p)), u.value):
+        with pytest.raises(ZeroDivisionError) as raised:
+            evaluate(x)
+        assert raised.type is ZeroDivisionError
 
 
 def test_a_map_used_ten_times_leaves_only_its_count():
