@@ -14,7 +14,15 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .accelerators import DEFAULT_TOL, STEP_ERRORS, Status, StepOutcome, _check_tol, error_status
+from .accelerators import (
+    DEFAULT_TOL,
+    STEP_ERRORS,
+    Status,
+    StepOutcome,
+    _check_tol,
+    _record,
+    error_status,
+)
 from .jets import Scalar, is_finite
 
 # Status members bound once, as in accelerators: on Python 3.11 a read of
@@ -107,7 +115,7 @@ def iterate(
             break
         points.append(val)
         break
-    return IterationTrace(tuple(points), reason)
+    return _record(IterationTrace, (tuple(points), reason))  # the record, built in C
 
 
 class OrderReport(NamedTuple):

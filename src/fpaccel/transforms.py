@@ -28,6 +28,9 @@ from .accelerators import (
 from .engine import IterationTrace
 from .jets import Scalar, is_finite
 
+# bound once, as in accelerators and engine: w_transform tests a status per point
+_SINGULAR, _NONFINITE = Status.SINGULAR, Status.NONFINITE
+
 __all__ = [
     "aitken_delta2",
     "iterated_aitken",
@@ -43,7 +46,7 @@ def _trace(items: Iterable[Scalar], reason: Status) -> IterationTrace:
     if not is_finite(sum(items)):
         for n, x in enumerate(items):
             if not is_finite(x):
-                return IterationTrace(items[:n], Status.NONFINITE)
+                return IterationTrace(items[:n], _NONFINITE)
     return IterationTrace(items, reason)
 
 
@@ -68,7 +71,7 @@ def aitken_delta2(seq) -> IterationTrace:
             d1 = s1 - s0
             d2 = s2 - 2.0 * s1 + s0
             if _singular(d2, s0):
-                stop = Status.SINGULAR
+                stop = _SINGULAR
                 break
             out.append(s0 - d1 * d1 / d2)
     except STEP_ERRORS as exc:
@@ -95,7 +98,7 @@ def theta2(seq) -> IterationTrace:
         for s0, s1 in zip(s, s[1:]):
             d = s1 - s0
             if _singular(d, s0):
-                stop = Status.SINGULAR
+                stop = _SINGULAR
                 break
             t.append(1.0 / d)
     except STEP_ERRORS as exc:
@@ -104,7 +107,7 @@ def theta2(seq) -> IterationTrace:
     for s1, s2, t0, t1, t2 in zip(s[1:], s[2:], t, t[1:], t[2:]):
         den = t2 - 2.0 * t1 + t0
         if _singular(den, t1):
-            stop = Status.SINGULAR
+            stop = _SINGULAR
             break
         out.append(s1 + (s2 - s1) * (t2 - t1) / den)
     return _trace(out, stop or tr.stop_reason)
@@ -136,12 +139,12 @@ def w_transform(seq, u, tol: float = DEFAULT_TOL) -> IterationTrace:
     stop = None
     for x in tr.points:
         try:
-            res = standard_step(x, u.at(x), tol)
+            val, status = standard_step(x, u.at(x), tol)
         except STEP_ERRORS as exc:
             stop = error_status(exc)
             break
-        if res.status in (Status.SINGULAR, Status.NONFINITE):
-            stop = res.status
+        if status is _SINGULAR or status is _NONFINITE:
+            stop = status
             break
-        out.append(res.value)
+        out.append(val)
     return _trace(out, stop or tr.stop_reason)

@@ -18,12 +18,22 @@ from fpaccel import (
     aitken_delta2,
     corpus_lookup,
     is_finite,
+    iterate,
     iterated_aitken,
     kernel_family_map,
     theta2,
     w_transform,
 )
-from fpaccel.accelerators import DEFAULT_TOL, STEP_ERRORS, StepOutcome, integral_step
+from fpaccel.accelerators import (
+    DEFAULT_TOL,
+    STEP_ERRORS,
+    StepOutcome,
+    _first_newton,
+    combined_map_value,
+    first_newton_step,
+    integral_step,
+    standard_step,
+)
 from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json, render_markdown
 from fpaccel.jets import Jet2, cos, exp, pow_real, sin, sin_cos
 
@@ -104,6 +114,24 @@ def test_steps_keep_the_outcome_contract(u, x):
             assert not is_finite(val), (name, x, out)
         else:
             assert status in (Status.CONVERGED, Status.SINGULAR) and val == x, (name, x, out)
+
+
+@pytest.mark.parametrize("u", _CORPUS_MAPS[:2] + _CORPUS_MAPS[-1:], ids=lambda u: u.name.split("(")[0])
+@pytest.mark.parametrize("x", [0.7, 3.0])
+def test_composite_steps_and_iterate_return_exact_record_types(u, x):
+    # the records are built through tuple.__new__: the exact type, fields and equality must hold
+    for spec in (("compose", "standard", "2"), ("integral", "2")):
+        try:
+            out = METHODS[spec[0]].make(u, DEFAULT_TOL, *spec[1:])(x)
+        except STEP_ERRORS:
+            continue
+        assert type(out) is StepOutcome and out == (out.value, out.status), (spec, out)
+    step = METHODS["standard"].make(u, DEFAULT_TOL)
+    trace = iterate(step, x, 5)
+    points, reason = trace
+    assert type(trace) is IterationTrace and trace == (trace.points, trace.stop_reason)
+    assert points is trace.points and reason is trace.stop_reason
+    assert type(points) is tuple and type(reason) is Status
 
 
 # the real maps that integral_step runs on
@@ -323,3 +351,51 @@ def test_sin_cos_gives_the_bits_of_sin_and_cos(a):
     # an infinite argument must raise OverflowError, as sin and cos do
     pair = (_bits(lambda: sin_cos(a)[0]), _bits(lambda: sin_cos(a)[1]))
     assert pair == (_bits(lambda: sin(a)), _bits(lambda: cos(a))), a
+
+
+def _composed_standard_step(x, u_jet, tol):
+    # the reference: the first pass, then the second pass as its own call
+    val, status, slope = _first_newton(x, u_jet, tol)
+    if status is not Status.OK:
+        return StepOutcome(val, status)
+    return combined_map_value(val, slope, x)
+
+
+def _ulps_from(v, k):
+    # the float k steps of one ulp away from v
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+_step_floats = st.one_of(
+    st.floats(),
+    st.floats(-4.0, 4.0),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7e308, -1.7e308)),
+)
+_step_scalars = st.one_of(_step_floats, st.builds(complex, _step_floats, _step_floats))
+_near = st.one_of(st.none(), st.integers(-4, 4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    _step_scalars,
+    st.tuples(_step_scalars, _step_scalars, _step_scalars),
+    _near,
+    _near,
+    st.sampled_from((0.0, DEFAULT_TOL, 1e-6)),
+)
+def test_standard_step_is_the_composition_of_its_passes(x, parts, u0_ulps, u1_ulps, tol):
+    # standard_step writes the first pass out again: the two copies must give
+    # the same bits, statuses and exception types, or one of them moved alone
+    u0, u1, u2 = parts
+    if u0_ulps is not None:  # u(x) a few ulps from x: the converged guard's edge
+        u0 = _ulps_from(x, u0_ulps) if type(x) is float else complex(_ulps_from(x.real, u0_ulps), x.imag)
+    if u1_ulps is not None:  # u'(x) a few ulps from 1: the singular guard's edge
+        u1 = _ulps_from(1.0, u1_ulps)
+    jet = Jet2(u0, u1, u2)
+    # as plain tuples, so the repr shows the value and the status member
+    want = _bits(lambda: tuple(_composed_standard_step(x, jet, tol)))
+    assert _bits(lambda: tuple(standard_step(x, jet, tol))) == want, (x, jet, tol)
+    first = _bits(lambda: _first_newton(x, jet, tol)[:2])
+    assert _bits(lambda: tuple(first_newton_step(x, jet, tol))) == first, (x, jet, tol)
