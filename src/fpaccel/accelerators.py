@@ -383,8 +383,11 @@ def adaptive_gauss_kronrod(f, a: float, b: float) -> float:
 
     Each panel evaluates f at its centre and at 7 symmetric node pairs;
     the 15-point Kronrod sum is accepted when it differs from the embedded
-    7-point Gauss sum by at most the absolute budget QUAD_TOL, halved per
-    level of bisection.  ``b < a`` integrates over [b, a] and negates.
+    7-point Gauss sum by at most the budget, halved per level of
+    bisection.  The budget is QUADPACK's ``max(epsabs, epsrel*|I|)``
+    (Piessens et al., 1983) with epsabs = QUAD_TOL, epsrel = 1e-15 and I
+    the first panel's estimate over the whole interval, or QUAD_TOL alone
+    when that overflows.  ``b < a`` integrates over [b, a] and negates.
     Raises :class:`QuadratureError` when 48 levels of bisection are not
     enough.
     """
@@ -394,7 +397,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float) -> float:
     if b < a:
         a, b = b, a
         sign = -1.0
-    return sign * _gauss_kronrod_branch(f, a, b, QUAD_TOL, 48)
+    return sign * _gauss_kronrod_branch(f, a, b, None, 48)
 
 
 def _gauss_kronrod_branch(f, a, b, tol, depth):
@@ -409,6 +412,10 @@ def _gauss_kronrod_branch(f, a, b, tol, depth):
         kronrod += _WGK[k] * pair
         if k % 2:
             gauss += _WG[k // 2] * pair
+    if tol is None:  # the whole interval: max(epsabs, epsrel*|I|), I from this panel
+        tol = max(QUAD_TOL, 1e-15 * abs(h * kronrod))
+        if tol == math.inf:
+            tol = QUAD_TOL
     if abs(kronrod - gauss) * h <= tol:
         return h * kronrod
     if depth <= 0:
@@ -428,12 +435,12 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
         h_d(x) = integral from 0 to x of (x - t)^(d-1) g(t) dt / (d-1)!,
 
     so each step is a single adaptive Gauss-Kronrod 7-15 quadrature
-    (:func:`adaptive_gauss_kronrod`, absolute budget QUAD_TOL).  For a
-    map g with fixed point 0 the repeated averaging flattens the
-    residual, one contact order per level.  Real arguments only;
-    ``depth`` is 1, 2 or 3.  Where the budget cannot be met, such as far
-    from 0 on ``sin``, it raises :class:`QuadratureError`, one of
-    :data:`STEP_ERRORS`.
+    (:func:`adaptive_gauss_kronrod`, a budget of QUAD_TOL or 1e-15 of the
+    integral, whichever is larger).  For a map g with fixed point 0 the
+    repeated averaging flattens the residual, one contact order per level.
+    Real arguments only; ``depth`` is 1, 2 or 3.  Where the budget cannot
+    be met, such as at 1e5 on ``sin`` at depth 3, it raises
+    :class:`QuadratureError`, one of :data:`STEP_ERRORS`.
     """
     if isinstance(x, complex):
         raise ValueError("integral step handles real points only")

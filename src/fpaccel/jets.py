@@ -83,9 +83,10 @@ class Recorder:
     :mod:`fpaccel.tape` traces a map body by running it on a :class:`Jet2`
     whose value is such a scalar, so :class:`Jet2`'s own arithmetic makes
     every recorded operation.  ``math`` rejects the scalar, and so does any
-    comparison, with a ``TypeError``.  :func:`sin`, :func:`cos`,
-    :func:`sin_cos` and :func:`exp` catch that, take their ``math`` results
-    from its ``calls(what, *functions)`` and go on to their own chain rule;
+    comparison, with a ``TypeError``.  ``_sin_cos`` (behind :func:`sin`,
+    :func:`cos` and :func:`sin_cos`) and :func:`exp` catch that and take
+    their ``math`` results from its ``calls(what, *functions)``; the jet
+    then goes through ``_chain``, the one chain rule, as on a number.
     :func:`pow_real` hands the jet and exponent to its ``pow_real``, which
     records the run-time branch to ``math.pow``.  The float, complex and
     :class:`Jet2` paths run no extra test.
@@ -229,69 +230,54 @@ def _chain(a: Jet2, f0: Scalar, f1: Scalar, f2: Scalar) -> Jet2:
     return Jet2(f0, f1 * a.v1, f2 * a.v1 * a.v1 + f1 * a.v2)
 
 
-# sin, cos, sin_cos and exp catch the ValueError that math and cmath raise
-# on an infinite argument (or part) and raise OverflowError instead: the
-# argument had already overflowed, and a try costs nothing while nothing
-# raises.  Each writes out _chain's products in _chain's order.
+# sin, cos, sin_cos and exp raise OverflowError where math and cmath raise
+# ValueError, on an infinite argument (or part): the argument had already
+# overflowed, and a try costs nothing while nothing raises.  Every jet path
+# ends in _chain.
+
+
+def _sin_cos(z: Scalar, what: str) -> tuple:
+    # (sin z, cos z) for the jet paths of sin, cos and sin_cos and the
+    # scalar path of sin_cos; a Recorder gives its recorded pair
+    try:
+        if isinstance(z, complex):
+            return cmath.sin(z), cmath.cos(z)
+        return math.sin(z), math.cos(z)
+    except ValueError:
+        raise OverflowError(f"{what} of an infinite argument") from None
+    except TypeError:
+        if not isinstance(z, Recorder):
+            raise
+        return z.calls(what, "sin", "cos")
 
 
 def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
     try:
         if not isinstance(a, Jet2):
             return cmath.sin(a) if isinstance(a, complex) else math.sin(a)
-        z = a.v0
-        if isinstance(z, complex):
-            s, c = cmath.sin(z), cmath.cos(z)
-        else:
-            s, c = math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError("sin of an infinite argument") from None
-    except TypeError:
-        if not isinstance(getattr(a, "v0", None), Recorder):
-            raise
-        s, c = a.v0.calls("sin", "sin", "cos")
-    a1 = a.v1
-    return Jet2(s, c * a1, -s * a1 * a1 + c * a.v2)
+    s, c = _sin_cos(a.v0, "sin")
+    return _chain(a, s, c, -s)
 
 
 def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
     try:
         if not isinstance(a, Jet2):
             return cmath.cos(a) if isinstance(a, complex) else math.cos(a)
-        z = a.v0
-        if isinstance(z, complex):
-            s, c = cmath.sin(z), cmath.cos(z)
-        else:
-            s, c = math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError("cos of an infinite argument") from None
-    except TypeError:
-        if not isinstance(getattr(a, "v0", None), Recorder):
-            raise
-        s, c = a.v0.calls("cos", "sin", "cos")
-    a1, ms = a.v1, -s
-    return Jet2(c, ms * a1, -c * a1 * a1 + ms * a.v2)
+    s, c = _sin_cos(a.v0, "cos")
+    return _chain(a, c, -s, -c)
 
 
 def sin_cos(a: Jet2 | Scalar) -> tuple[Jet2, Jet2] | tuple[Scalar, Scalar]:
     """``(sin(a), cos(a))`` with the bits of the two calls, from one sin and one cos."""
-    jet = isinstance(a, Jet2)
-    z = a.v0 if jet else a
-    try:
-        if isinstance(z, complex):
-            s, c = cmath.sin(z), cmath.cos(z)
-        else:
-            s, c = math.sin(z), math.cos(z)
-    except ValueError:
-        raise OverflowError("sin_cos of an infinite argument") from None
-    except TypeError:
-        if not isinstance(z, Recorder):
-            raise
-        s, c = z.calls("sin_cos", "sin", "cos")
-    if not jet:
-        return s, c
-    a1, a2, ms = a.v1, a.v2, -s
-    return Jet2(s, c * a1, ms * a1 * a1 + c * a2), Jet2(c, ms * a1, -c * a1 * a1 + ms * a2)
+    if not isinstance(a, Jet2):
+        return _sin_cos(a, "sin_cos")
+    s, c = _sin_cos(a.v0, "sin_cos")
+    ms = -s
+    return _chain(a, s, c, ms), _chain(a, c, ms, -c)
 
 
 def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
@@ -306,8 +292,7 @@ def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
         if not isinstance(getattr(a, "v0", None), Recorder):
             raise
         (e,) = a.v0.calls("exp", "exp")
-    a1 = a.v1
-    return Jet2(e, e * a1, e * a1 * a1 + e * a.v2)
+    return _chain(a, e, e, e)
 
 
 def _pow_factors(a: Jet2, f0: Scalar, d1: Scalar, d2: Scalar) -> Jet2:

@@ -285,8 +285,23 @@ def test_integral_step_relative_accuracy_near_zero():
     assert abs(out.value - series) <= 1e-14 * series
 
 
+@pytest.mark.parametrize("x, u, depth", [(55.0, SIN, 3), (100.0, SIN, 3), (1000.0, LOG1, 1)])
+def test_integral_step_budget_scales_with_the_integral(x, u, depth):
+    # h is in the thousands or more here, and its panel sums round above
+    # QUAD_TOL; the budget is 1e-15 of the whole-interval estimate instead
+    out = integral_step(x, u, depth)
+    closed = INTEGRAL_TOWERS[u][depth - 1](x)
+    assert out.ok
+    assert abs(out.value - closed) <= 1e-14 * abs(closed)
+
+
 def test_quadrature_failure_ends_the_run_singular():
-    # 1e300 is far beyond what the absolute budget can reach by bisection
+    # at 1e5 the budget, halved per level, falls below the rounding of the
+    # panel sums before 48 bisections meet it; at 1e300 the whole-interval
+    # estimate overflows, so the budget stays QUAD_TOL, which is far beyond
+    # what bisection can reach
+    with pytest.raises(QuadratureError):
+        integral_step(1e5, SIN, 3)
     with pytest.raises(QuadratureError):
         integral_step(1e300, SIN, 2)
     tr = iterate(lambda x: integral_step(x, SIN, 2), 1e300, 3)

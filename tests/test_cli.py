@@ -425,14 +425,14 @@ def test_infinite_argument_ends_every_column_nonfinite(capsys):
 
 
 def test_quadrature_failure_ends_its_column_singular(capsys):
-    # integral:3 cannot meet its absolute budget at 55; the plain column survives
-    argv = ["--problem", "sin", "--x0", "55", "--method", "plain", "--method", "integral:3",
+    # integral:3 cannot meet its budget at 1e5; the plain column survives
+    argv = ["--problem", "sin", "--x0", "1e5", "--method", "plain", "--method", "integral:3",
             "--max-iter", "3", "--format", "json"]
     rc, out, err = _run(capsys, argv)
     assert rc == 0 and err == ""
     plain, integ = json.loads(out)
     assert len(plain["rows"]) == 4 and plain["stop_reason"] == "max_iter"
-    assert [row["re"] for row in integ["rows"]] == [55.0]
+    assert [row["re"] for row in integ["rows"]] == [1e5]
     assert integ["stop_reason"] == "singular"
 
 

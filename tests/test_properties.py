@@ -8,7 +8,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from render_reference import reference_csv, reference_json, reference_markdown
 
@@ -195,6 +195,24 @@ def test_kernel_family_derivatives_match_complex_step(alpha, beta, x_star, dista
     _assert_complex_step_agrees(kernel_family_map(alpha, beta, x_star), x_star - distance)
 
 
+@_SETTINGS
+@given(_signed(0.25, 3.0), st.floats(1.1, 4.0), st.floats(-2.0, 2.0), st.floats(0.01, 0.3))
+@example(-0.25, 4.0, -2.0, 0.01)  # the corner where a flat 1e-9 bound fails
+def test_kernel_family_collapses_in_one_standard_step(alpha, beta, x_star, d):
+    # u(x) = x + alpha*(x* - x)**beta: the first pass is affine with slope
+    # 1 - 1/beta, so the second lands on x*.  Each pass divides the rounding
+    # of u, about 2**-52 (1 + |x|), by its residual |alpha| d**beta.
+    x = x_star - d
+    u_jet = kernel_family_map(alpha, beta, x_star).at(x)
+    c = 2.0**-52 * (1.0 + abs(x)) / (abs(alpha) * d**beta)
+    v, status, slope = _first_newton(x, u_jet, DEFAULT_TOL)
+    w = standard_step(x, u_jet)
+    assert status is Status.OK and w.status is Status.OK
+    assert abs(slope - (1.0 - 1.0 / beta)) <= 8.0 * c
+    assert abs(v - ((1.0 - 1.0 / beta) * x + x_star / beta)) <= 8.0 * d * c
+    assert abs(w.value - x_star) <= 8.0 * d * c
+
+
 # every float, with +-inf, nan, -0.0 and subnormals, real or as complex parts
 _any_float = st.one_of(
     st.sampled_from((float("inf"), -float("inf"), float("nan"), -0.0, 5e-324)), st.floats()
@@ -298,14 +316,14 @@ def test_pow_real_positive_base_matches_the_reference(z, v1, v2, b):
 
 
 def _chain(a, f0, f1, f2):
-    # the chain rule helper sin, cos and exp called before it was written
-    # into each of them
+    # the chain rule written out here, apart from jets._chain, which sin,
+    # cos, sin_cos and exp call
     return Jet2(f0, f1 * a.v1, f2 * a.v1 * a.v1 + f1 * a.v2)
 
 
 def _elementary_reference(name, a):
-    # sin, cos or exp as it was: a bare scalar straight to math or cmath, a
-    # jet through _chain; an infinite argument raises OverflowError
+    # sin, cos or exp in one function: a bare scalar straight to math or
+    # cmath, a jet through _chain; an infinite argument raises OverflowError
     jet = isinstance(a, Jet2)
     z = a.v0 if jet else a
     lib = cmath if isinstance(z, complex) else math

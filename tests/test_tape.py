@@ -1,5 +1,7 @@
 """IterationMap.at's traced code: when it is used, when it is not, and how long it lives."""
 
+import ast
+import builtins
 import gc
 import math
 import weakref
@@ -106,6 +108,39 @@ def test_the_tape_has_no_formulas_of_its_own(monkeypatch):
     for x in POINTS:
         assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
     assert compiled(0.3).as_tuple() != product_rule
+
+
+# The operations of the code traced from each neutral_solve body, counted
+# with ast so that every Python version gives the same numbers:
+# + - * / unary- calls.  How jets writes its formulas must not change them.
+_CORPUS_OPERATIONS = {
+    "sin": ({}, (2, 0, 4, 0, 1, 7)),
+    "logistic": ({"a": 1.0}, (7, 1, 10, 0, 2, 1)),
+    "fdil": ({}, (5, 1, 6, 0, 1, 7)),
+    "s_family": ({"alphas": (1.0, 0.5), "r": 1.0}, (15, 1, 26, 0, 0, 13)),
+    "power_family": ({"alpha": 1.0, "r": 3.0}, (8, 1, 13, 0, 4, 7)),
+    "kvb_complex": ({}, (28, 10, 55, 0, 2, 11)),
+}
+_COUNTED = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.Call)
+
+
+@pytest.mark.parametrize("problem", sorted(_CORPUS_OPERATIONS))
+def test_corpus_bodies_compile_to_pinned_operation_counts(monkeypatch, problem):
+    params, pinned = _CORPUS_OPERATIONS[problem]
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(tape, "compile", capture, raising=False)
+    assert tape.trace(corpus_lookup(problem, **params).map.fn) is not None
+    counts = dict.fromkeys(_COUNTED, 0)
+    for node in ast.walk(ast.parse(sources[0])):
+        kind = type(node) if isinstance(node, ast.Call) else type(getattr(node, "op", None))
+        if kind in counts:
+            counts[kind] += 1
+    assert tuple(counts.values()) == pinned
 
 
 def test_non_finite_constants_compile():
