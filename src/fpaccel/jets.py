@@ -233,7 +233,10 @@ def _chain(a: Jet2, f0: Scalar, f1: Scalar, f2: Scalar) -> Jet2:
 # sin, cos, sin_cos and exp raise OverflowError where math and cmath raise
 # ValueError, on an infinite argument (or part): the argument had already
 # overflowed, and a try costs nothing while nothing raises.  Every jet path
-# ends in _chain.
+# ends in _chain.  sin, cos and exp test for a bare float first, what
+# IterationMap.value passes on the real line (every quadrature node, every
+# plain step), and hand it straight to math; ints, bools, float subclasses,
+# complex numbers and jets take the isinstance branches after that test.
 
 
 def _sin_cos(z: Scalar, what: str) -> tuple:
@@ -253,6 +256,8 @@ def _sin_cos(z: Scalar, what: str) -> tuple:
 
 def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
     try:
+        if type(a) is float:
+            return math.sin(a)
         if not isinstance(a, Jet2):
             return cmath.sin(a) if isinstance(a, complex) else math.sin(a)
     except ValueError:
@@ -263,6 +268,8 @@ def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
 
 def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
     try:
+        if type(a) is float:
+            return math.cos(a)
         if not isinstance(a, Jet2):
             return cmath.cos(a) if isinstance(a, complex) else math.cos(a)
     except ValueError:
@@ -282,6 +289,8 @@ def sin_cos(a: Jet2 | Scalar) -> tuple[Jet2, Jet2] | tuple[Scalar, Scalar]:
 
 def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
     try:
+        if type(a) is float:
+            return math.exp(a)
         if not isinstance(a, Jet2):
             return cmath.exp(a) if isinstance(a, complex) else math.exp(a)
         z = a.v0

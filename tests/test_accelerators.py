@@ -1,10 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from quadrature_reference import reference_gauss_kronrod
 
 from fpaccel.accelerators import (
+    _XGK,
     DEFAULT_TOL,
     QuadratureError,
     Status,
@@ -217,6 +219,71 @@ def test_adaptive_simpson_basics(rule):
 def test_adaptive_simpson_reports_failure(rule):
     with pytest.raises(QuadratureError, match=r"tolerance not reached on \["):
         rule(lambda t: 1.0 / (t - 1.0 / 3.0) ** 2, 0.0, 1.0)
+
+
+class _EvaluationCap(Exception):
+    pass
+
+
+def _logged_run(rule, f, a, b):
+    # the rule's result (type, repr) or exception type, and every point it
+    # evaluated f at, in order; repr keeps -0.0 apart from 0.0.  The cap
+    # ends a run that would bisect towards 2**48 panels, as a rule whose
+    # error estimate never shrinks does, in an outcome of its own.
+    points = []
+
+    def logged(t):
+        if len(points) == 20_000:
+            raise _EvaluationCap
+        points.append(t)
+        return f(t)
+
+    try:
+        got = rule(logged, a, b)
+        outcome = (type(got), repr(got))
+    except Exception as exc:
+        outcome = type(exc)
+    return outcome, [repr(t) for t in points]
+
+
+def _node(a, b, level, k):
+    # node k of the panel `level` bisections down the left edge, computed as
+    # the rule computes it; k = 0 is the centre, -k the mirror of k
+    lo, hi = min(a, b), max(a, b)
+    for _ in range(level):
+        hi = 0.5 * (lo + hi)
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return c if k == 0 else c + math.copysign(h * _XGK[abs(k) - 1], k)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    a=st.floats(-100.0, 100.0),
+    span=st.one_of(st.just(0.0), st.floats(1e-300, 1e-6), st.floats(0.0, 1e3)),
+    reverse=st.booleans(),
+    integrand=st.sampled_from(["sin", "logistic", "depth3_sin", "pole_at_node"]),
+    level=st.integers(0, 2),
+    k=st.integers(-7, 7),
+)
+@example(a=0.0, span=1.0, reverse=False, integrand="double_pole", level=0, k=0)
+def test_gauss_kronrod_matches_its_loop_reference(a, span, reverse, integrand, level, k):
+    # the straight-line panel against the node loop it replaced: the same
+    # bits, the same evaluation points in the same order, the same exception
+    b = a + span
+    if reverse:
+        a, b = b, a
+    pole = _node(a, b, level, k)
+    f = {
+        "sin": SIN.value,
+        "logistic": LOG1.value,
+        # integral_step's integrand at depth 3, with x = b
+        "depth3_sin": lambda t: (b - t) ** 2 * SIN.value(t),
+        # raises ZeroDivisionError at one node
+        "pole_at_node": lambda t: 1.0 / (t - pole),
+        "double_pole": lambda t: 1.0 / (t - 1.0 / 3.0) ** 2,
+    }[integrand]
+    got = _logged_run(adaptive_gauss_kronrod, f, a, b)
+    assert got == _logged_run(reference_gauss_kronrod, f, a, b)
 
 
 # antiderivative towers pinned at 0, depths 1, 2 and 3

@@ -156,6 +156,23 @@ def test_elementary_on_bare_scalars(name, fn, real_ref, complex_ref):
         got = fn(z)
         assert type(got) is complex
         assert got == complex_ref(z)
+    if name not in ("sin", "cos", "exp"):
+        return
+    # sin, cos and exp hand a bare float straight to math: the edges of the
+    # float line, the sign of a zero included (repr tells -0.0 from 0.0)...
+    for t in (0.0, -0.0, 5e-324, -5e-324, -1e308) + ((1e308,) if name != "exp" else ()):
+        got = fn(t)
+        assert type(got) is float
+        assert repr(got) == repr(real_ref(t)), t
+    # ...and an int, a bool and a float subclass take the branches after that test
+    for t in (3, True, _Float(0.7)):
+        got = fn(t)
+        assert type(got) is float
+        assert got == real_ref(t), t
+
+
+class _Float(float):
+    pass
 
 
 def test_elementary_scalar_domain_errors():
@@ -176,9 +193,10 @@ _INF = math.inf
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (jets.sin, (_INF, -_INF, complex(_INF, 0.0), complex(_INF, _INF))),
-        (jets.cos, (_INF, -_INF, complex(_INF, 0.0), complex(_INF, _INF))),
-        (jets.exp, (complex(0.0, _INF), complex(_INF, _INF))),
+        (jets.sin, (_INF, -_INF, _Float(_INF), complex(_INF, 0.0), complex(_INF, _INF))),
+        (jets.cos, (_INF, -_INF, _Float(-_INF), complex(_INF, 0.0), complex(_INF, _INF))),
+        # math.exp raises OverflowError itself where the result overflows
+        (jets.exp, (1e308, complex(0.0, _INF), complex(_INF, _INF))),
     ],
     ids=["sin", "cos", "exp"],
 )
