@@ -81,15 +81,19 @@ class Recorder:
     """Base of a scalar that records the operations applied to it.
 
     :mod:`fpaccel.tape` traces a map body by running it on a :class:`Jet2`
-    whose value is such a scalar, so :class:`Jet2`'s own arithmetic makes
-    every recorded operation.  ``math`` rejects the scalar, and so does any
-    comparison, with a ``TypeError``.  ``_sin_cos`` (behind :func:`sin`,
-    :func:`cos` and :func:`sin_cos`) and :func:`exp` catch that and take
-    their ``math`` results from its ``calls(what, *functions)``; the jet
-    then goes through ``_chain``, the one chain rule, as on a number.
-    :func:`pow_real` hands the jet and exponent to its ``pow_real``, which
-    records the run-time branch to ``math.pow``.  The float, complex and
-    :class:`Jet2` paths run no extra test.
+    whose value is such a scalar, with each float or complex closure
+    constant replaced by another, a parameter; so :class:`Jet2`'s own
+    arithmetic makes every recorded operation.  ``math`` rejects the
+    scalar, and so does any comparison, with a ``TypeError``.
+    ``_sin_cos`` (behind :func:`sin`, :func:`cos` and :func:`sin_cos`) and
+    :func:`exp` catch that and take their ``math`` results from its
+    ``calls(what, *functions)``; the jet then goes through ``_chain``, the
+    one chain rule, as on a number.  A bare parameter operand of a jet's
+    arithmetic passes ``_scalar`` as a float would.  :func:`pow_real` hands
+    the jet and exponent to the ``pow_real`` of its base's value or of its
+    exponent, which records the run-time branch to ``math.pow``.  The
+    float, complex and :class:`Jet2` paths run no extra test: each
+    ``Recorder`` test comes after their type tests have failed.
     """
 
     __slots__ = ()
@@ -196,11 +200,17 @@ class Jet2:
 
 
 def _scalar(x):
-    """A bare float or complex as is, an int (not a bool) as a float, else NotImplemented."""
+    """A bare float or complex as is, an int (not a bool) as a float, else NotImplemented.
+
+    A :class:`Recorder` is a traced closure constant (or a value read off a
+    traced jet) and is handed on as is, as a float would be.
+    """
     if isinstance(x, (float, complex)):
         return x  # as is: ``x + 0.0`` turns -0.0 parts into +0.0
     if isinstance(x, int) and not isinstance(x, bool):
         return float(x)
+    if isinstance(x, Recorder):
+        return x
     return NotImplemented
 
 
@@ -334,6 +344,8 @@ def pow_real(a: Jet2 | Scalar, exponent: float) -> Jet2 | Scalar:
     exponent returns a complex number instead of raising.
     """
     if isinstance(exponent, bool) or not isinstance(exponent, (int, float)):
+        if isinstance(exponent, Recorder):
+            return exponent.pow_real(a, exponent)
         raise TypeError("exponent must be a real number")
     b = float(exponent)
     if not math.isfinite(b):

@@ -81,10 +81,13 @@ def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
     one that raises one of ``STEP_ERRORS``, and least-squares fits
     v = a x + b.  The fit residual against
     ``AFFINE_RESIDUAL_TOL * (1 + |b|)`` decides membership; on success
-    the fixed point is b/(1 - a) and the exponent 1/(1 - a).
+    the fixed point is b/(1 - a) and the exponent 1/(1 - a).  The center
+    and the radius must be finite, and the radius positive.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if not is_finite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     n = _AFFINITY_SAMPLES
     if isinstance(center, complex):
         pts = [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n)]

@@ -9,7 +9,7 @@ reference cells the CLI suites check live with those suites, in
 from __future__ import annotations
 
 import math
-from types import FunctionType
+from types import FunctionType, NoneType
 from typing import Callable, NamedTuple, Optional
 
 from . import jets
@@ -29,9 +29,9 @@ class CorpusError(ValueError):
     """Unknown problem name or invalid problem parameters."""
 
 
-# Calls of IterationMap.at on one body before the body is traced into
-# straight-line code: tracing, compiling and checking a corpus body take
-# 0.25-2.4 ms, which 125 (fdil) to 800 (sin) compiled calls save.
+# Calls of IterationMap.at on one key (below) before its body is traced
+# into straight-line code: tracing, compiling and checking a corpus body
+# take 0.25-2.4 ms, which 125 (fdil) to 800 (sin) compiled calls save.
 COMPILE_AFTER = 1000
 
 
@@ -43,17 +43,26 @@ class IterationMap(NamedTuple):
     arithmetic and the elementary functions of :mod:`fpaccel.jets`, and
     raises a fractional power with ``jets.pow_real`` rather than ``**``.
 
-    The body must be a pure function of its argument.  After
-    ``COMPILE_AFTER`` calls of :meth:`at` on one body (a plain function),
-    :mod:`fpaccel.tape` runs it once on a :class:`Jet2` whose value
-    records every operation, and writes those operations out as
-    straight-line code that gives the same bits; :meth:`at` runs that
-    code from then on, and constants the body reads from closures or
-    globals are captured at that moment.  A body that compares or
-    branches on its argument's value, that returns no jet, or whose code
-    fails the bitwise check against :class:`Jet2` stays on :class:`Jet2`.
-    The state lives on the body, as its attribute ``_fpaccel_at``: the
-    call count, then the compiled function or None.
+    The body must be a pure function of its argument.  :meth:`at` keeps
+    traced code per key: the body's code object, its globals and defaults,
+    and its closure, in which a cell that holds exactly a float or a
+    complex counts by its type alone and every other cell by its value.
+    After ``COMPILE_AFTER`` calls of :meth:`at` on one key,
+    :mod:`fpaccel.tape` runs the body once on a :class:`Jet2` whose value
+    records every operation, with each float or complex cell replaced by a
+    recorded parameter, and writes those operations out as straight-line
+    code that gives the same bits.  Operations on parameters and constants
+    alone run once per closure, when :meth:`at` first meets it; the rest run
+    per call.  So closures that differ only in their float and complex
+    constants share one trace, and the first call on a fresh one binds it.
+    A parameter is read when its closure is bound, and every other constant
+    the body reads from closures or globals when the key is traced; later
+    changes to either do not reach the map.  A body that compares or
+    branches on its argument's value or on a parameter, that returns no
+    jet, or whose code fails the bitwise check against :class:`Jet2`
+    stays on :class:`Jet2` for all its closures, and so does a closure
+    with a cell that cannot be part of a key, such as a list.  A body holds its bound code, or
+    None for the :class:`Jet2` path, as its attribute ``_fpaccel_at``.
     """
 
     name: str
@@ -62,24 +71,96 @@ class IterationMap(NamedTuple):
     def at(self, x: Scalar) -> Jet2:
         """Evaluate the map and its first two derivatives at ``x``."""
         fn = self.fn
-        compiled = getattr(fn, "_fpaccel_at", 0)
-        if type(compiled) is int:
-            if compiled < COMPILE_AFTER:
-                # only a plain function counts: a bound method shares its
-                # function's attributes, and other callables may hold none
-                if type(fn) is FunctionType:
-                    fn._fpaccel_at = compiled + 1
-                return fn(lift(x))
-            from . import tape  # here, so that import fpaccel does not load it
-
-            compiled = fn._fpaccel_at = tape.compile_at(fn, x)
-        if compiled is None:
+        bound = getattr(fn, "_fpaccel_at", _bind)
+        if bound is _bind:
+            bound = _bind(fn, x)
+        if bound is None:
             return fn(lift(x))
-        return compiled(x)
+        return bound(x)
 
     def value(self, x: Scalar) -> Scalar:
         """Evaluate the map alone at ``x``; equals ``at(x).v0``."""
         return self.fn(x + 0.0)
+
+
+# The closure cells that become parameters of traced code: those that hold
+# exactly one of these types.  A subclass counts as any other constant.
+_PARAMETER_TYPES = (float, complex)
+
+# Each key's state: the count of at calls, then its traced code (a function
+# of the closure's float and complex cells that returns the bound code) or
+# None; with the globals, so that their id in the key stays theirs.
+_TRACED: dict = {}
+
+# Keys kept at most: closures that keep bringing new constants (say, fresh
+# s_family coefficient tuples) would otherwise grow _TRACED without end.
+# When it is full it starts again empty; bound code stays on its bodies.
+_MAX_KEYS = 4096
+
+
+def _bind(fn: Callable, x: Scalar) -> Optional[Callable[[Scalar], Jet2]]:
+    """``fn``'s bound code, or None while its key counts calls or stays on Jet2."""
+    if type(fn) is not FunctionType:
+        return None  # a bound method shares its function's attributes; other callables hold none
+    try:
+        key, params = _signature(fn)
+        entry = _TRACED.get(key)
+    except (TypeError, ValueError):  # a cell that cannot be hashed, or an empty cell
+        fn._fpaccel_at = None
+        return None
+    if entry is None:
+        if len(_TRACED) >= _MAX_KEYS:
+            _TRACED.clear()
+        entry = _TRACED[key] = [0, fn.__globals__]
+    state = entry[0]
+    if type(state) is int:
+        if state < COMPILE_AFTER:
+            entry[0] = state + 1
+            return None
+        from . import tape  # here, so that import fpaccel does not load it
+
+        state = entry[0] = tape.compile_at(fn, x)
+    bound = fn._fpaccel_at = None if state is None else state(*params)
+    return bound
+
+
+def _signature(fn: FunctionType) -> tuple:
+    """``fn``'s key in ``_TRACED``, and its parameters in cell order."""
+    params, cells = [], []
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if type(v) in _PARAMETER_TYPES:
+            params.append(v)
+            cells.append(type(v))
+        else:
+            cells.append(_frozen(v))
+    defaults, kwdefaults = fn.__defaults__, fn.__kwdefaults__
+    key = (
+        fn.__code__,
+        id(fn.__globals__),
+        defaults and _frozen(defaults),
+        kwdefaults and _frozen(tuple(kwdefaults.items())),
+        *cells,
+    )
+    return key, params
+
+
+def _frozen(v):
+    """``v`` as part of a key: equal only for constants that trace alike.
+
+    A tuple counts by its items, a float or complex in it by its repr (so
+    -0.0 is told from 0.0), and an int, a bool, a str, None or an object
+    compared by identity (a function, a module, a class) by its type and
+    value.  Anything else raises ``TypeError``.
+    """
+    t = type(v)
+    if t is tuple:
+        return (t, *map(_frozen, v))
+    if t is float or t is complex:
+        return (t, repr(v))
+    if t in (int, bool, str, NoneType) or t.__eq__ is object.__eq__:
+        return (t, v)
+    raise TypeError(f"{t.__name__} is not a key")
 
 
 class ProblemSpec(NamedTuple):

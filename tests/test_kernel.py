@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -62,8 +63,22 @@ def test_affinity_complex_circle_samples():
 
 
 def test_affinity_validation():
-    with pytest.raises(ValueError):
-        affinity_test(FDIL, 3.0, 0.0)
+    # a nan radius passed "radius <= 0", and a non-finite center or radius
+    # left no usable sample: both ended in FitInconclusiveError
+    nan, inf = math.nan, math.inf
+    for center, radius in [
+        (3.0, 0.0),
+        (3.0, -1.0),
+        (3.0, nan),
+        (3.0, inf),
+        (nan, 0.1),
+        (inf, 0.1),
+        (-inf, 0.1),
+        (complex(nan, 0.0), 0.1),
+        (complex(1.0, inf), 0.1),
+    ]:
+        with pytest.raises(ValueError):
+            affinity_test(FDIL, center, radius)
 
 
 def test_affinity_inconclusive_when_samples_unusable():

@@ -21,6 +21,8 @@ from fpaccel import (
     iterate,
     iterated_aitken,
     kernel_family_map,
+    maps,
+    tape,
     theta2,
     w_transform,
 )
@@ -35,7 +37,7 @@ from fpaccel.accelerators import (
     standard_step,
 )
 from fpaccel.cli import METHODS, Experiment, MethodColumn, render_csv, render_json, render_markdown
-from fpaccel.jets import Jet2, cos, exp, pow_real, sin, sin_cos
+from fpaccel.jets import Jet2, cos, exp, lift, pow_real, sin, sin_cos
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -211,6 +213,40 @@ def test_kernel_family_collapses_in_one_standard_step(alpha, beta, x_star, d):
     assert abs(slope - (1.0 - 1.0 / beta)) <= 8.0 * c
     assert abs(v - ((1.0 - 1.0 / beta) * x + x_star / beta)) <= 8.0 * d * c
     assert abs(w.value - x_star) <= 8.0 * d * c
+
+
+# kernel_family_map's traced code, one per kind of (alpha, x_star), traced
+# from one closure and bound to every drawn one
+_KERNEL_CODE: dict = {}
+
+
+def _kernel_family_code(kinds):
+    if kinds not in _KERNEL_CODE:
+        traced_from = kernel_family_map(kinds[0](1.5), 2.5, kinds[1](0.25))
+        _KERNEL_CODE[kinds] = tape.compile_at(traced_from.fn, 0.1)
+    return _KERNEL_CODE[kinds]
+
+
+def _or_complex(real, imag):
+    return st.one_of(real, st.builds(complex, real, imag))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    _or_complex(_signed(0.25, 3.0), st.floats(-3.0, 3.0)),
+    st.one_of(st.floats(1.1, 4.0), st.sampled_from((2.0, 3.0))),
+    _or_complex(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.floats(1e-3, 2.0),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+def test_one_kernel_family_trace_serves_every_closure(alpha, beta, x_star, d, z):
+    # the parameters reach the code at binding, never as literals of the
+    # trace: each component matches the Jet2 path by (type, repr), or the
+    # exception by type; above x_star a fractional beta leaves the domain
+    u = kernel_family_map(alpha, beta, x_star)
+    at = _kernel_family_code((type(alpha), type(x_star)))(*maps._signature(u.fn)[1])
+    for x in (0.0, -0.0, x_star, x_star + d, x_star - d, math.inf, -math.inf, math.nan, z):
+        assert tape._outcome(at, x) == tape._outcome(lambda p: u.fn(lift(p)), x), x
 
 
 # every float, with +-inf, nan, -0.0 and subnormals, real or as complex parts

@@ -5,12 +5,13 @@ import builtins
 import gc
 import math
 import weakref
+from types import FunctionType
 
 import pytest
 
-from fpaccel import jets, tape
+from fpaccel import jets, maps, tape
 from fpaccel.jets import Jet2, lift
-from fpaccel.maps import COMPILE_AFTER, IterationMap, corpus_lookup
+from fpaccel.maps import COMPILE_AFTER, IterationMap, corpus_lookup, kernel_family_map
 
 POINTS = (0.3, -1.25, 2.0, complex(0.5, -0.25), 0.0, math.inf)
 
@@ -113,20 +114,31 @@ def test_the_tape_has_no_formulas_of_its_own(monkeypatch):
 # The operations of the code traced from each neutral_solve body, counted
 # with ast so that every Python version gives the same numbers:
 # + - * / unary- calls.  How jets writes its formulas must not change them.
+# The first count is the per-call code, the second the prologue, run once
+# per closure: the work on float and complex closure constants alone.
 _CORPUS_OPERATIONS = {
-    "sin": ({}, (2, 0, 4, 0, 1, 7)),
-    "logistic": ({"a": 1.0}, (7, 1, 10, 0, 2, 1)),
-    "fdil": ({}, (5, 1, 6, 0, 1, 7)),
-    "s_family": ({"alphas": (1.0, 0.5), "r": 1.0}, (15, 1, 26, 0, 0, 13)),
-    "power_family": ({"alpha": 1.0, "r": 3.0}, (8, 1, 13, 0, 4, 7)),
-    "kvb_complex": ({}, (28, 10, 55, 0, 2, 11)),
+    "sin": ({}, (2, 0, 4, 0, 1, 7), (0, 0, 0, 0, 0, 0)),
+    "logistic": ({"a": 1.0}, (7, 1, 10, 0, 2, 1), (0, 0, 2, 0, 0, 0)),
+    "fdil": ({}, (5, 1, 6, 0, 1, 7), (0, 0, 0, 0, 0, 0)),
+    "s_family": ({"alphas": (1.0, 0.5), "r": 1.0}, (15, 1, 26, 0, 0, 13), (2, 4, 2, 0, 0, 2)),
+    "power_family": ({"alpha": 1.0, "r": 3.0}, (8, 1, 13, 0, 4, 7), (0, 2, 1, 0, 0, 1)),
+    "kvb_complex": ({}, (28, 10, 55, 0, 2, 11), (0, 0, 0, 0, 0, 0)),
 }
 _COUNTED = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.Call)
 
 
+def _operations(nodes) -> tuple:
+    counts = dict.fromkeys(_COUNTED, 0)
+    for node in (n for root in nodes for n in ast.walk(root)):
+        kind = type(node) if isinstance(node, ast.Call) else type(getattr(node, "op", None))
+        if kind in counts:
+            counts[kind] += 1
+    return tuple(counts.values())
+
+
 @pytest.mark.parametrize("problem", sorted(_CORPUS_OPERATIONS))
 def test_corpus_bodies_compile_to_pinned_operation_counts(monkeypatch, problem):
-    params, pinned = _CORPUS_OPERATIONS[problem]
+    params, per_call, prologue = _CORPUS_OPERATIONS[problem]
     sources = []
 
     def capture(source, *args):
@@ -135,12 +147,10 @@ def test_corpus_bodies_compile_to_pinned_operation_counts(monkeypatch, problem):
 
     monkeypatch.setattr(tape, "compile", capture, raising=False)
     assert tape.trace(corpus_lookup(problem, **params).map.fn) is not None
-    counts = dict.fromkeys(_COUNTED, 0)
-    for node in ast.walk(ast.parse(sources[0])):
-        kind = type(node) if isinstance(node, ast.Call) else type(getattr(node, "op", None))
-        if kind in counts:
-            counts[kind] += 1
-    assert tuple(counts.values()) == pinned
+    (bind,) = ast.parse(sources[0]).body
+    (at,) = [node for node in bind.body if isinstance(node, ast.FunctionDef)]
+    assert _operations([at]) == per_call
+    assert _operations([node for node in bind.body if node is not at]) == prologue
 
 
 def test_non_finite_constants_compile():
@@ -148,8 +158,9 @@ def test_non_finite_constants_compile():
     def body(x):
         return x * math.inf - math.nan
 
-    compiled = tape.compile_at(body, 0.3)
-    assert compiled is not None
+    bind = tape.compile_at(body, 0.3)
+    assert bind is not None
+    compiled = bind()
     for x in POINTS:
         assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
 
@@ -199,18 +210,27 @@ def test_exception_order_survives_inlining(x):
         assert raised.type is ZeroDivisionError
 
 
-def test_a_map_used_ten_times_leaves_only_its_count():
+def test_a_map_used_ten_times_leaves_only_its_count(fresh_registry):
     u = corpus_lookup("logistic", a=1.5).map
     for _ in range(10):
         u.at(0.3)
-    assert vars(u.fn) == {"_fpaccel_at": 10}
+    assert vars(u.fn) == {}
+    key, params = maps._signature(u.fn)
+    assert params == [1.5]
+    assert list(fresh_registry) == [key] and fresh_registry[key][0] == 10
+    # another closure of the body counts on the same key
+    v = corpus_lookup("logistic", a=2.5).map
+    for _ in range(5):
+        v.at(0.3)
+    assert vars(v.fn) == {} and fresh_registry[key][0] == 15
 
 
-def test_compiled_code_is_used_and_freed_with_its_body():
+def test_compiled_code_is_used_and_freed_with_its_body(fresh_registry):
     u = corpus_lookup("s_family", alphas=(1.0, 0.5), r=1.0).map
     for _ in range(COMPILE_AFTER):
         u.at(0.2)
-    assert u.fn._fpaccel_at == COMPILE_AFTER
+    assert "_fpaccel_at" not in vars(u.fn)
+    assert [entry[0] for entry in fresh_registry.values()] == [COMPILE_AFTER]
     u.at(0.2)
     compiled = u.fn._fpaccel_at
     assert callable(compiled)
@@ -220,3 +240,139 @@ def test_compiled_code_is_used_and_freed_with_its_body():
     del compiled, u
     gc.collect()
     assert ref() is None
+    # the traced code stays with its key, and binds the next closure at once
+    v = corpus_lookup("s_family", alphas=(1.0, 0.5), r=2.5, x_star=0.25).map
+    v.at(0.7)
+    assert callable(v.fn._fpaccel_at) and len(fresh_registry) == 1
+    for x in POINTS:
+        assert tape._outcome(v.at, x) == tape._outcome(lambda p: v.fn(lift(p)), x), x
+
+
+@pytest.fixture(autouse=True)
+def fresh_registry(monkeypatch):
+    """An empty registry of traced code, so that no other test's calls count."""
+    registry = {}
+    monkeypatch.setattr(maps, "_TRACED", registry)
+    return registry
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The bodies traced for IterationMap.at, in order."""
+    traced = []
+    compile_at = tape.compile_at
+
+    def counting(fn, x):
+        traced.append(fn)
+        return compile_at(fn, x)
+
+    monkeypatch.setattr(tape, "compile_at", counting)
+    return traced
+
+
+def test_many_kernel_family_closures_share_one_trace(fresh_registry, traces):
+    for i in range(2 * COMPILE_AFTER):
+        alpha, beta, x_star = (-1.0) ** i * (0.25 + i / 800.0), 1.1 + i / 700.0, i / 500.0 - 2.0
+        u = kernel_family_map(alpha, beta, x_star)
+        x = x_star - 0.2
+        got = u.at(x)
+        assert got.as_tuple() == u.fn(lift(x)).as_tuple(), (alpha, beta, x_star)
+        assert callable(vars(u.fn).get("_fpaccel_at")) == (i >= COMPILE_AFTER), i
+    assert len(traces) == 1 and len(fresh_registry) == 1
+
+
+def test_s_family_coefficients_are_part_of_the_key(fresh_registry, monkeypatch):
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    for alphas in ((1.0, 0.5), (1.0, -0.5), (1.0, 0.5)):
+        u = corpus_lookup("s_family", alphas=alphas, r=1.5).map
+        assert tape._outcome(u.at, 0.3) == tape._outcome(lambda p: u.fn(lift(p)), 0.3)
+        assert callable(u.fn._fpaccel_at)
+    assert len(fresh_registry) == 2
+
+
+def test_the_registry_starts_again_when_full(fresh_registry, monkeypatch):
+    monkeypatch.setattr(maps, "_MAX_KEYS", 3)
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    alphas = [(1.0, a) for a in (0.5, 0.25, 0.125, 2.0)]
+    bodies = [corpus_lookup("s_family", alphas=a, r=1.0).map for a in alphas]
+    for u in bodies:
+        u.at(0.3)
+    assert len(fresh_registry) == 1
+    # code bound before the registry started again stays bound
+    assert all(callable(u.fn._fpaccel_at) for u in bodies)
+    for u in bodies:
+        assert tape._outcome(u.at, 0.3) == tape._outcome(lambda p: u.fn(lift(p)), 0.3)
+
+
+def _compares_its_constant(c):
+    def u(x):
+        return x * c if c > 0.0 else x - c
+
+    return u
+
+
+def _unhashable_cell(coeffs):
+    def u(x):
+        return x * coeffs[0] + coeffs[1]
+
+    return u
+
+
+# each maker, and the call from which its closures hold None: an unhashable
+# cell is decided at once, a comparing body when its key fails to trace
+_UNSHARED = {
+    "compares": (_compares_its_constant, COMPILE_AFTER),
+    "unhashable": (lambda c: _unhashable_cell([c, 0.5]), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNSHARED))
+def test_closures_that_cannot_share_a_trace_stay_on_jet2(fresh_registry, name):
+    make, decided = _UNSHARED[name]
+    for i in range(COMPILE_AFTER + 5):
+        fn = make(0.5 - (i % 3) * 0.5)
+        x = POINTS[i % len(POINTS)]
+        assert tape._outcome(IterationMap("u", fn).at, x) == tape._outcome(lambda p: fn(lift(p)), x)
+        assert vars(fn) == ({"_fpaccel_at": None} if i >= decided else {}), i
+    assert [entry[0] for entry in fresh_registry.values()] == ([None] if decided else [])
+
+
+_SCALE = 2.0
+
+
+def _scaled(x, k=3.0):
+    return x * k * _SCALE
+
+
+def test_a_code_object_with_other_globals_or_defaults_traces_apart(fresh_registry, monkeypatch):
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    code = _scaled.__code__
+    bodies = [
+        _scaled,
+        FunctionType(code, {**globals(), "_SCALE": 5.0}, "_scaled", _scaled.__defaults__),
+        FunctionType(code, globals(), "_scaled", (7.0,)),
+    ]
+    for fn in bodies:
+        assert IterationMap("scaled", fn).at(0.5).as_tuple() == fn(lift(0.5)).as_tuple()
+        assert callable(fn._fpaccel_at)
+    assert len(fresh_registry) == 3
+
+
+def _reciprocal(c):
+    def u(x):
+        return x + jets.pow_real(x * x, c) + 1.0 / c
+
+    return u
+
+
+def test_a_closure_whose_prologue_raises_stays_on_jet2(fresh_registry, monkeypatch):
+    # 1 / 0 and an infinite exponent raise on every call of the Jet2 path,
+    # so binding them to the key's traced code gives no code
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    for c, bound in ((2.0, True), (0.0, False), (math.inf, False), (-1.5, True)):
+        fn = _reciprocal(c)
+        u = IterationMap("r", fn)
+        for x in POINTS:
+            assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x)
+        assert callable(fn._fpaccel_at) is bound, c
+    assert len(fresh_registry) == 1
