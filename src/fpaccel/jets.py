@@ -81,8 +81,8 @@ class Recorder:
     """Base of a scalar that records the operations applied to it.
 
     :mod:`fpaccel.tape` traces a map body by running it on a :class:`Jet2`
-    whose value is such a scalar, with each float or complex closure
-    constant replaced by another, a parameter; so :class:`Jet2`'s own
+    whose value is such a scalar, and the body's float and complex closure
+    constants are such scalars too, its parameters; so :class:`Jet2`'s own
     arithmetic makes every recorded operation.  ``math`` rejects the
     scalar, and so does any comparison, with a ``TypeError``.
     ``_sin_cos`` (behind :func:`sin`, :func:`cos` and :func:`sin_cos`) and

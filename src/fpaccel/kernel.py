@@ -82,10 +82,10 @@ def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
     v = a x + b.  The fit residual against
     ``AFFINE_RESIDUAL_TOL * (1 + |b|)`` decides membership; on success
     the fixed point is b/(1 - a) and the exponent 1/(1 - a).  The center
-    and the radius must be finite, and the radius positive.
+    and the radius must be finite, and the radius real and positive.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if isinstance(radius, complex) or not 0 < radius < math.inf:
+        raise ValueError(f"radius must be real, positive and finite, got {radius!r}")
     if not is_finite(center):
         raise ValueError(f"center must be finite, got {center!r}")
     n = _AFFINITY_SAMPLES

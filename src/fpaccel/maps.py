@@ -52,17 +52,18 @@ class IterationMap(NamedTuple):
     records every operation, with each float or complex cell replaced by a
     recorded parameter, and writes those operations out as straight-line
     code that gives the same bits.  Operations on parameters and constants
-    alone run once per closure, when :meth:`at` first meets it; the rest run
-    per call.  So closures that differ only in their float and complex
+    alone run once per closure, when :meth:`at` first meets it; the rest
+    run per call.  So closures that differ only in their float and complex
     constants share one trace, and the first call on a fresh one binds it.
-    A parameter is read when its closure is bound, and every other constant
-    the body reads from closures or globals when the key is traced; later
-    changes to either do not reach the map.  A body that compares or
-    branches on its argument's value or on a parameter, that returns no
-    jet, or whose code fails the bitwise check against :class:`Jet2`
-    stays on :class:`Jet2` for all its closures, and so does a closure
-    with a cell that cannot be part of a key, such as a list.  A body holds its bound code, or
-    None for the :class:`Jet2` path, as its attribute ``_fpaccel_at``.
+    A parameter is read when its closure is bound, and every other
+    constant the body reads from closures or globals when the key is
+    traced; later changes to either do not reach the map.  A body that
+    compares or branches on its argument's value or on a parameter, that
+    returns no jet, or whose code fails the bitwise check against
+    :class:`Jet2` stays on :class:`Jet2` for all its closures, and so does
+    a closure with a cell that cannot be part of a key, such as a list.
+    A body holds its bound code, or None for the :class:`Jet2` path, as
+    its attribute ``_fpaccel_at``.
     """
 
     name: str

@@ -64,13 +64,15 @@ def test_affinity_complex_circle_samples():
 
 def test_affinity_validation():
     # a nan radius passed "radius <= 0", and a non-finite center or radius
-    # left no usable sample: both ended in FitInconclusiveError
+    # left no usable sample: both ended in FitInconclusiveError; a complex
+    # radius raised TypeError from the comparison
     nan, inf = math.nan, math.inf
     for center, radius in [
         (3.0, 0.0),
         (3.0, -1.0),
         (3.0, nan),
         (3.0, inf),
+        (3.0, 0.1j),
         (nan, 0.1),
         (inf, 0.1),
         (-inf, 0.1),
