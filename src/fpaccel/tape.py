@@ -218,8 +218,8 @@ class Value(Recorder):
         b(b - 1); the zero test of b(b - 1) moves into the per-call code.
         """
         t = self.tape
-        base = getattr(a, "v0", None)
-        if type(a) is not Jet2 or type(base) is not Value or base.tape is not t or base.kind:
+        base = a.v0 if type(a) is Jet2 else None
+        if type(base) is not Value or base.kind:
             raise TypeError("a traced power needs a base that depends on the argument")
         z = base.name
         if type(b) is Value:

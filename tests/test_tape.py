@@ -16,6 +16,28 @@ from fpaccel.maps import COMPILE_AFTER, IterationMap, corpus_lookup, kernel_fami
 POINTS = (0.3, -1.25, 2.0, complex(0.5, -0.25), 0.0, math.inf)
 
 
+@pytest.fixture(autouse=True)
+def fresh_registry(monkeypatch):
+    """An empty registry of traced code, so that no other test's calls count."""
+    registry = {}
+    monkeypatch.setattr(maps, "_TRACED", registry)
+    return registry
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The bodies traced for IterationMap.at, in order."""
+    traced = []
+    compile_at = tape.compile_at
+
+    def counting(fn, x):
+        traced.append(fn)
+        return compile_at(fn, x)
+
+    monkeypatch.setattr(tape, "compile_at", counting)
+    return traced
+
+
 def _branches_on_v0(x):
     return x * x if x.v0 > 0.0 else -x
 
@@ -246,28 +268,6 @@ def test_compiled_code_is_used_and_freed_with_its_body(fresh_registry):
     assert callable(v.fn._fpaccel_at) and len(fresh_registry) == 1
     for x in POINTS:
         assert tape._outcome(v.at, x) == tape._outcome(lambda p: v.fn(lift(p)), x), x
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry(monkeypatch):
-    """An empty registry of traced code, so that no other test's calls count."""
-    registry = {}
-    monkeypatch.setattr(maps, "_TRACED", registry)
-    return registry
-
-
-@pytest.fixture
-def traces(monkeypatch):
-    """The bodies traced for IterationMap.at, in order."""
-    traced = []
-    compile_at = tape.compile_at
-
-    def counting(fn, x):
-        traced.append(fn)
-        return compile_at(fn, x)
-
-    monkeypatch.setattr(tape, "compile_at", counting)
-    return traced
 
 
 def test_many_kernel_family_closures_share_one_trace(fresh_registry, traces):
