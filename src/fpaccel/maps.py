@@ -72,7 +72,7 @@ class IterationMap(NamedTuple):
     def at(self, x: Scalar) -> Jet2:
         """Evaluate the map and its first two derivatives at ``x``."""
         fn = self.fn
-        bound = getattr(fn, "_fpaccel_at", _bind)
+        bound = getattr(fn, "_fpaccel_at", _bind)  # _bind marks a body not yet bound
         if bound is _bind:
             bound = _bind(fn, x)
         if bound is None:
