@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .accelerators import STEP_ERRORS, first_newton_step
+from .accelerators import _OK, DEFAULT_TOL, STEP_ERRORS, _first_newton, _record
 from .jets import Scalar, is_finite
 
 AFFINE_RESIDUAL_TOL = 1e-9
@@ -41,16 +42,25 @@ class FitInconclusiveError(RuntimeError):
 
 
 def _line_fit(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> tuple[Scalar, Scalar, float]:
-    """Least-squares line y = a x + b, real or complex: (a, b, max residual)."""
+    """Least-squares line y = a x + b, real or complex: (a, b, max residual).
+
+    Each sum adds a list, which costs less than resuming a generator per
+    term and adds the same terms in the same order.  ``abs(d) ** 2`` stays
+    a power: ``d * d`` differs from it by an ulp on some inputs.  A real
+    deviation is its own conjugate, so only complex ones are conjugated.
+    """
     n = len(xs)
     x_mean, y_mean = sum(xs) / n, sum(ys) / n
     dxs = [x - x_mean for x in xs]
-    spread = sum(abs(d) ** 2 for d in dxs)
-    if spread == 0.0:
+    spread = sum([abs(d) ** 2 for d in dxs])
+    # equal abscissae need not give a zero spread: their mean can round off them
+    if spread == 0.0 or xs.count(xs[0]) == n:
         raise FitInconclusiveError("all samples sit at the same abscissa")
-    a = sum(d.conjugate() * (y - y_mean) for d, y in zip(dxs, ys)) / spread
+    if isinstance(x_mean, complex):
+        dxs = [d.conjugate() for d in dxs]
+    a = sum(map(mul, dxs, [y - y_mean for y in ys])) / spread
     b = y_mean - a * x_mean
-    return a, b, max(abs(y - (a * x + b)) for x, y in zip(xs, ys))
+    return a, b, max([abs(y - (a * x + b)) for x, y in zip(xs, ys)])
 
 
 class KernelVerdict(NamedTuple):
@@ -61,6 +71,9 @@ class KernelVerdict(NamedTuple):
     residual fit, ``convention`` records which one-sided form the
     reported ``alpha`` multiplies: "(x - x_star)^beta" or
     "(x_star - x)^beta"; for even integer exponents the two coincide.
+    :func:`affinity_test` and :func:`kernel_family_fit` build it through
+    ``_record`` (``tuple.__new__``), which makes the same record as the
+    class call without its Python frame, so they pass every field in order.
     """
 
     member: bool
@@ -93,21 +106,22 @@ def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
         pts = [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n)]
     else:
         pts = [center - radius + 2.0 * radius * k / (n - 1) for k in range(n)]
+    # the bare first pass, not first_newton_step: no record per sample
     xs, vs = [], []
     for p in pts:
         try:
-            out = first_newton_step(p, u.at(p))
+            v, status, _ = _first_newton(p, u.at(p), DEFAULT_TOL)
         except STEP_ERRORS:
             continue
-        if out.ok:
+        if status is _OK:
             xs.append(p)
-            vs.append(out.value)
+            vs.append(v)
     if len(xs) < 5:
         raise FitInconclusiveError(f"only {len(xs)} of {n} first-step samples usable")
     a_s, b_s, residual = _line_fit(xs, vs)
     member = residual <= AFFINE_RESIDUAL_TOL * (1.0 + abs(b_s))
     if not member:
-        return KernelVerdict(False, "none", residual, slope=a_s)
+        return _record(KernelVerdict, (False, "none", residual, None, None, None, a_s, None))
     den = 1.0 - a_s
     if abs(den) <= 1e-9:
         raise FitInconclusiveError("affine first step with unit slope has no fixed point")
@@ -119,8 +133,8 @@ def affinity_test(u, center: Scalar, radius: float) -> KernelVerdict:
             beta = beta_val.real
     else:
         beta = float(beta_val)
-    return KernelVerdict(
-        True, "affine_first_step", residual, x_star=x_star, beta=beta, slope=a_s
+    return _record(
+        KernelVerdict, (True, "affine_first_step", residual, x_star, None, beta, a_s, None)
     )
 
 
@@ -131,10 +145,11 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
     probes; membership needs the worst log-space misfit at or below
     ``FAMILY_RESIDUAL_TOL`` and beta > 1 (a fit with beta <= 1 is
     reported with member False: the fixed point is not flat).  Probes at
-    the fixed point, with vanishing residual or where the map raises one
-    of ``STEP_ERRORS`` are skipped.  ``x_star`` and the probes must be
-    real: the fit reads which side of ``x_star`` a probe lies on.
-    ``x_star`` must be finite too, or no distance to it is.
+    the fixed point, with a vanishing residual or where the map raises one
+    of ``STEP_ERRORS`` are skipped, and so is a probe whose residual is
+    not finite: an infinite or nan probe always is.  ``x_star`` and the
+    probes must be real: the fit reads which side of ``x_star`` a probe
+    lies on.  ``x_star`` must be finite too, or no distance to it is.
     """
     if isinstance(x_star, complex):
         raise ValueError("x_star must be real")
@@ -167,12 +182,7 @@ def kernel_family_fit(u, x_star: float, probes: Sequence[float]) -> KernelVerdic
     # beta must clear 1 by more than fit noise; a slope-1 affine map
     # fits beta = 1 + O(eps) and its fixed point is not flat
     member = residual <= FAMILY_RESIDUAL_TOL and beta > 1.0 + 1e-9
-    return KernelVerdict(
-        member,
-        "power_residual_fit" if member else "none",
-        residual,
-        x_star=x_star,
-        alpha=alpha,
-        beta=beta,
-        convention=convention,
+    evidence = "power_residual_fit" if member else "none"
+    return _record(
+        KernelVerdict, (member, evidence, residual, x_star, alpha, beta, None, convention)
     )

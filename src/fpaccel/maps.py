@@ -62,8 +62,12 @@ class IterationMap(NamedTuple):
     returns no jet, or whose code fails the bitwise check against
     :class:`Jet2` stays on :class:`Jet2` for all its closures, and so does
     a closure with a cell that cannot be part of a key, such as a list.
-    A body holds its bound code, or None for the :class:`Jet2` path, as
-    its attribute ``_fpaccel_at``.
+    A closure whose parameters make the once-per-closure work raise, such
+    as a zero divisor, stays on :class:`Jet2`, which raises the same error
+    on every call; if it triggered the trace, the bitwise check waits for
+    the next closure of the key whose parameters bind.  A body holds its
+    bound code, or None for the :class:`Jet2` path, as its attribute
+    ``_fpaccel_at``.
     """
 
     name: str
@@ -90,7 +94,9 @@ _PARAMETER_TYPES = (float, complex)
 
 # Each key's state: the count of at calls, then its traced code (a function
 # of the closure's float and complex cells that returns the bound code) or
-# None; with the globals, so that their id in the key stays theirs.
+# None, or the code in a 1-tuple while it waits for a closure whose prologue
+# binds, to check it; with the globals, so that their id in the key stays
+# theirs.
 _TRACED: dict = {}
 
 # Keys kept at most: closures that keep bringing new constants (say, fresh
@@ -121,7 +127,11 @@ def _bind(fn: Callable, x: Scalar) -> Optional[Callable[[Scalar], Jet2]]:
         from . import tape  # here, so that import fpaccel does not load it
 
         state = entry[0] = tape.compile_at(fn, x)
-    bound = fn._fpaccel_at = None if state is None else state(*params)
+    elif type(state) is tuple:  # traced, but no closure so far had a prologue that binds
+        from . import tape
+
+        state = entry[0] = tape._check_at(fn, x, state[0], params)
+    bound = fn._fpaccel_at = state(*params) if type(state) is FunctionType else None
     return bound
 
 

@@ -39,9 +39,10 @@ A body that compares or branches on its argument's value or on a
 parameter (``Value`` raises ``TypeError`` for a comparison or a truth test,
 and so does ``math`` on it), or that returns no jet, is not compiled;
 neither is one whose code CPython cannot compile.  The code is kept only
-when, bound to the parameters of the closure that triggered the trace, it
-agrees bit for bit with the ``Jet2`` path at four points, so a body whose
-trace takes another branch than the ``Jet2`` path is rejected as well.
+when, bound to the parameters of the first closure whose prologue does not
+raise (the one that triggered the trace, or a later one), it agrees bit
+for bit with the ``Jet2`` path at four points, so a body whose trace takes
+another branch than the ``Jet2`` path is rejected as well.
 
 ``import fpaccel`` does not load this module; :meth:`IterationMap.at
 <fpaccel.maps.IterationMap.at>` imports it when a body first compiles.
@@ -346,25 +347,37 @@ def trace(fn: Callable) -> Optional[Callable[[Scalar], Jet2]]:
     return traced and traced[0](*traced[1])
 
 
-def compile_at(fn: Callable, x: Scalar) -> Optional[Callable]:
-    """Trace ``fn``'s code, and keep it only if it matches ``fn(lift(p))`` bit for bit.
+def compile_at(fn: Callable, x: Scalar) -> Optional[Callable | tuple]:
+    """Trace ``fn``'s code, and check it with :func:`_check_at`.
 
-    The code is bound to ``fn``'s own parameters for the check, at ``x``
-    and three points made from it; a raised exception must match by type.
-    Returns the code, a function of the parameters that returns the jet
-    evaluator bound to them, or None when the body cannot be traced, its
-    prologue raises, or the check fails.
+    Returns what :func:`_check_at` returns, or None when the body cannot be
+    traced.
     """
     traced = _traced(fn)
     if traced is None:
         return None
-    bind, params = traced
+    return _check_at(fn, x, *traced)
+
+
+def _check_at(
+    fn: Callable, x: Scalar, bind: Callable, params: list
+) -> Optional[Callable | tuple]:
+    """Keep traced code only if, bound to ``params``, it matches ``fn(lift(p))`` bit for bit.
+
+    ``params`` are ``fn``'s own parameters.  The check runs at ``x`` and
+    three points made from it; a raised exception must match by type.
+    Returns ``bind`` when the check passes and None when it fails.  When
+    the prologue raises for these parameters, no check can run: it returns
+    ``(bind,)``, and the code awaits a closure whose prologue binds.
+    """
     at = bind(*params)
+    if at is None:
+        return (bind,)
 
     def on_jet(p):
         return fn(lift(p))
 
     points = (x, x + 1.0, x - 1.0, -x)
-    if at is not None and all(_outcome(at, p) == _outcome(on_jet, p) for p in points):
+    if all(_outcome(at, p) == _outcome(on_jet, p) for p in points):
         return bind
     return None

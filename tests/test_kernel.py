@@ -7,6 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from kernel_reference import reference_affinity_test, reference_line_fit
 
 import fpaccel
 from fpaccel import jets
@@ -21,6 +24,23 @@ from fpaccel.maps import IterationMap, corpus_lookup, kernel_family_map
 
 FDIL = corpus_lookup("fdil").map
 LOG1 = corpus_lookup("logistic", a=1.0).map
+
+
+def _signed(lo, hi):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda p: p[0] * p[1])
+
+
+# the kernel_family workload's box: alpha in +-[0.25, 3], beta in [1.1, 4], x* in [-2, 2]
+_MEMBERS = (_signed(0.25, 3.0), st.floats(1.1, 4.0), st.floats(-2.0, 2.0))
+
+
+def _bits(f, *args):
+    """f's result as its type and each field's (type, repr), or the type of what it raised."""
+    try:
+        out = f(*args)
+    except Exception as exc:
+        return type(exc)
+    return type(out), [(type(v), repr(v)) for v in out]
 
 
 def test_affinity_certifies_fdil():
@@ -157,9 +177,12 @@ def test_family_fit_inconclusive_on_identity():
 
 
 def test_family_fit_inconclusive_on_one_probe_distance():
-    # every probe at |x - x*| = 0.1 leaves the exponent undetermined
-    with pytest.raises(FitInconclusiveError):
-        kernel_family_fit(LOG1, 0.0, [0.1, -0.1, 0.1])
+    # every probe at one |x - x*| leaves the exponent undetermined; at 0.0275
+    # and 0.03 the mean of the equal log distances rounds off them, and the
+    # fit once returned a verdict (member, beta 2.0, at 0.0275)
+    for d, n in ((0.1, 3), (0.0275, 5), (0.03, 3)):
+        with pytest.raises(FitInconclusiveError):
+            kernel_family_fit(LOG1, 0.0, [d if i % 2 else -d for i in range(n)])
 
 
 def _exact_line_fit(xs, ys):
@@ -240,8 +263,18 @@ def test_package_import_leaves_the_cli_out():
 
 
 def test_family_fit_skips_bad_probes():
-    v = kernel_family_fit(FDIL, 1.0, [1.0, 0.5, 1.05, 1.1, 1.15, 1.2])
+    # at x*, outside fdil's real domain, and infinite or nan: each probe is
+    # skipped, so the verdict is the one the four good probes give
+    inf, nan = math.inf, math.nan
+    good = [1.05, 1.1, 1.15, 1.2]
+    v = kernel_family_fit(FDIL, 1.0, [1.0, 0.5, inf, *good, -inf, nan])
     assert v.member
+    assert repr(v) == repr(kernel_family_fit(FDIL, 1.0, good))
+    for bad in (inf, -inf, nan):
+        probes = [0.25, 0.2, 0.15]
+        assert repr(kernel_family_fit(LOG1, 0.0, [*probes, bad])) == repr(
+            kernel_family_fit(LOG1, 0.0, probes)
+        )
     with pytest.raises(ValueError):
         kernel_family_fit(FDIL, 1.0, [1.05 + 0j, 1.1, 1.15])
 
@@ -261,26 +294,86 @@ def test_family_fit_rejects_nonfinite_x_star():
             kernel_family_fit(LOG1, x_star, [0.1, 0.2, 0.3])
 
 
-def test_random_members_detected_and_collapsed():
-    rng = random.Random(7)
-    for _ in range(10):
-        alpha = rng.uniform(0.25, 3.0) * rng.choice([-1.0, 1.0])
-        beta = rng.uniform(1.1, 4.0)
-        x_star = rng.uniform(-2.0, 2.0)
-        m = kernel_family_map(alpha, beta, x_star)
-        va = affinity_test(m, x_star - 0.15, 0.1)
-        assert va.member
-        assert abs(va.x_star - x_star) <= 1e-8
-        vf = kernel_family_fit(m, x_star, [x_star - 0.05 * k for k in range(1, 7)])
-        assert vf.member
-        assert abs(vf.beta - beta) <= 1e-8
-        assert abs(vf.alpha - alpha) <= 1e-8 * (1.0 + abs(alpha))
-        start = x_star - 0.21
-        # the paper's collapse claim: the first Newton step is affine,
-        # v = (1 - 1/beta) x + x_star / beta, and w lands on x_star
-        v, _, slope = _first_newton(start, m.at(start), DEFAULT_TOL)
-        assert abs(v - ((1.0 - 1.0 / beta) * start + x_star / beta)) <= 1e-11
-        assert abs(slope - (1.0 - 1.0 / beta)) <= 1e-9
-        out = standard_step(start, m.at(start))
-        assert out.ok
-        assert abs(out.value - x_star) <= 1e-10
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(*_MEMBERS)
+def test_random_members_detected_and_collapsed(alpha, beta, x_star):
+    m = kernel_family_map(alpha, beta, x_star)
+    va = affinity_test(m, x_star - 0.15, 0.1)
+    assert va.member
+    assert abs(va.x_star - x_star) <= 1e-8
+    vf = kernel_family_fit(m, x_star, [x_star - 0.05 * k for k in range(1, 7)])
+    assert vf.member
+    assert abs(vf.beta - beta) <= 1e-8
+    assert abs(vf.alpha - alpha) <= 1e-8 * (1.0 + abs(alpha))
+    start = x_star - 0.21
+    # the paper's collapse claim: the first Newton step is affine,
+    # v = (1 - 1/beta) x + x_star / beta, and w lands on x_star
+    v, _, slope = _first_newton(start, m.at(start), DEFAULT_TOL)
+    assert abs(v - ((1.0 - 1.0 / beta) * start + x_star / beta)) <= 1e-11
+    assert abs(slope - (1.0 - 1.0 / beta)) <= 1e-9
+    out = standard_step(start, m.at(start))
+    assert out.ok
+    assert abs(out.value - x_star) <= 1e-10
+
+
+@st.composite
+def _fit_inputs(draw):
+    """2-12 points: real, complex, real x with complex y, or int x; a tenth at one x."""
+    n = draw(st.integers(2, 12))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    kind = draw(st.sampled_from(("real", "complex", "mixed", "int")))
+    units = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+
+    def points(cplx):
+        re = [scale * v for v in draw(units)]
+        return [complex(r, scale * i) for r, i in zip(re, draw(units))] if cplx else re
+
+    if kind == "int":
+        xs = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    else:
+        xs = points(kind == "complex")
+    if draw(st.integers(0, 9)) == 0:
+        xs = [xs[0]] * n
+    return xs, points(kind in ("complex", "mixed"))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_fit_inputs())
+# the deviations are +-0.0017697801457753355, whose square as a power and
+# as a product differ by an ulp, so d * d in place of abs(d) ** 2 shows here
+@example(([0.0, 0.003539560291550671], [0.0, 1.0]))
+def test_line_fit_matches_the_reference_bit_for_bit(case):
+    xs, ys = case
+    got = _bits(_line_fit, xs, ys)
+    assert got == _bits(reference_line_fit, xs, ys)
+    if len(set(xs)) == 1:
+        assert got is FitInconclusiveError
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(*_MEMBERS, st.floats(-0.2, 0.2), st.floats(0.01, 0.3), st.booleans())
+def test_affinity_test_matches_the_reference_loop_on_members(alpha, beta, x_star, shift, radius, circle):
+    m = kernel_family_map(alpha, beta, x_star)
+    center = x_star - 0.15 + shift
+    if circle:
+        center = complex(center, shift)
+    assert _bits(affinity_test, m, center, radius) == _bits(reference_affinity_test, m, center, radius)
+
+
+_NAMED_MAPS = {
+    "sin": corpus_lookup("sin").map,
+    "logistic a=2": corpus_lookup("logistic", a=2.0).map,
+    "s_family two-term": corpus_lookup("s_family", alphas=(1.0, 0.5), r=1.5).map,
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(sorted(_NAMED_MAPS)), st.floats(-1.0, 1.0), st.floats(0.01, 0.5), st.booleans())
+@example("sin", 0.3, 0.2, False)
+@example("logistic a=2", 0.5, 0.1, False)
+@example("s_family two-term", 0.15, 0.1, False)
+def test_affinity_test_matches_the_reference_loop_on_other_maps(name, center, radius, circle):
+    m = _NAMED_MAPS[name]
+    if circle:
+        center = complex(center, radius)
+    assert _bits(affinity_test, m, center, radius) == _bits(reference_affinity_test, m, center, radius)

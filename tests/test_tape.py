@@ -376,3 +376,38 @@ def test_a_closure_whose_prologue_raises_stays_on_jet2(fresh_registry, monkeypat
             assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x)
         assert callable(fn._fpaccel_at) is bound, c
     assert len(fresh_registry) == 1
+
+
+def _plus_reciprocal(c):
+    def u(x):
+        return x + 1.0 / c
+
+    return u
+
+
+def _tests_value_type_of(c):
+    def u(x):
+        return x / c if isinstance(x.v0, float) else x + 1.0 / c
+
+    return u
+
+
+@pytest.mark.parametrize("order", [(0.0, 2.0, 3.0), (2.0, 0.0, 3.0)])
+@pytest.mark.parametrize("make, kept", [(_plus_reciprocal, True), (_tests_value_type_of, False)])
+def test_a_key_is_checked_with_the_first_closure_that_binds(
+    fresh_registry, traces, monkeypatch, order, make, kept
+):
+    # 1 / 0 raises in c = 0.0's prologue, so that closure cannot check the
+    # trace; whichever closure comes first, the key keeps its one trace, and
+    # the first closure that binds decides it: _tests_value_type_of's trace
+    # takes the other branch and fails the check
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    for c in order:
+        fn = make(c)
+        u = IterationMap("r", fn)
+        for x in POINTS:
+            assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x)
+        assert callable(fn._fpaccel_at) is (kept and c != 0.0), c
+    assert len(traces) == 1 and len(fresh_registry) == 1
+    [(state, _)] = fresh_registry.values()
+    assert callable(state) if kept else state is None
