@@ -15,7 +15,6 @@ from .accelerators import (
     StepOutcome,
     adaptive_gauss_kronrod,
     adaptive_simpson,
-    combined_map_value,
     compose_step,
     first_newton_step,
     integral_step,
@@ -34,7 +33,6 @@ from .jets import (
     Jet2,
     JetDomainError,
     Scalar,
-    const,
     is_finite,
     lift,
 )
@@ -80,9 +78,7 @@ __all__ = [
     "adaptive_simpson",
     "affinity_test",
     "aitken_delta2",
-    "combined_map_value",
     "compose_step",
-    "const",
     "corpus_lookup",
     "corpus_names",
     "empirical_order",

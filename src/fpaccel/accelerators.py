@@ -53,7 +53,6 @@ __all__ = [
     "StepOutcome",
     "adaptive_gauss_kronrod",
     "adaptive_simpson",
-    "combined_map_value",
     "compose_step",
     "error_status",
     "first_newton_step",
@@ -161,20 +160,6 @@ def plain_step(x: Scalar, u) -> StepOutcome:
     return _outcome(u.value(x))
 
 
-def combined_map_value(v_val: Scalar, v_slope: Scalar, x: Scalar) -> StepOutcome:
-    """Newton step (v - x v') / (1 - v') for the residual x - v(x).
-
-    ``v_val`` is the map value at ``x`` and ``v_slope`` its derivative
-    there; the standard and phi steps both end in this step.
-    """
-    if not (is_finite(v_val) and is_finite(v_slope)):
-        return _record(StepOutcome, (_nan_like(x), _NONFINITE))
-    den = 1.0 - v_slope
-    if _singular(den, x):
-        return _record(StepOutcome, (x, _SINGULAR))
-    return _outcome((v_val - x * v_slope) / den)
-
-
 def _first_newton(x: Scalar, u_jet: Jet2, tol: float) -> tuple:
     """The first pass as a bare ``(value, status, slope)``.
 
@@ -221,10 +206,11 @@ def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutco
 
     The hot step of every standard run, so it is one frame: the first
     pass is :func:`_first_newton`'s guards and arithmetic written out,
-    the second :func:`combined_map_value`'s, without its finiteness test
-    (the first pass already made v and v' finite).  The record is built
-    through ``_record`` (``tuple.__new__``), since the class call would
-    run NamedTuple's generated ``__new__``, one more Python frame.  A
+    the second the Newton step (v - x v') / (1 - v') for the residual
+    x - v(x), with no finiteness test (the first pass already made v and
+    v' finite).  The record is built through ``_record``
+    (``tuple.__new__``), since the class call would run NamedTuple's
+    generated ``__new__``, one more Python frame.  A
     property test holds this body to that composition bit for bit, so a
     change to the first pass must be made here and in
     :func:`_first_newton` alike.
@@ -256,8 +242,9 @@ def standard_step(x: Scalar, u_jet: Jet2, tol: float = DEFAULT_TOL) -> StepOutco
 def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
     """Combined step through the slope-shifted map phi = u - u' + 1.
 
-    A Newton step for the residual x - phi(x).  Every neutral fixed point
-    x* of u (u(x*) = x*, u'(x*) = 1) is a fixed point of phi, but phi has
+    The Newton step (phi - x phi') / (1 - phi') for the residual
+    x - phi(x), with phi' = u' - u''.  Every neutral fixed point x* of u
+    (u(x*) = x*, u'(x*) = 1) is a fixed point of phi, but phi has
     others: phi(x) = x wherever u(x) - x = u'(x) - 1, such as
     x = 2.41201... on ``sin``, where a run of this step stops converged
     though sin(x) - x is about -1.745.  The slope of phi at x* is
@@ -268,7 +255,12 @@ def phi_step(x: Scalar, u_jet: Jet2) -> StepOutcome:
     u0, u1, u2 = u_jet.v0, u_jet.v1, u_jet.v2
     phi0 = u0 - u1 + 1.0
     phi1 = u1 - u2
-    return combined_map_value(phi0, phi1, x)
+    if not (is_finite(phi0) and is_finite(phi1)):
+        return _record(StepOutcome, (_nan_like(x), _NONFINITE))
+    den = 1.0 - phi1
+    if _singular(den, x):
+        return _record(StepOutcome, (x, _SINGULAR))
+    return _outcome((phi0 - x * phi1) / den)
 
 
 def steffensen_step(x: Scalar, u, tol: float = DEFAULT_TOL) -> StepOutcome:

@@ -7,17 +7,16 @@ operation.  The accelerated fixed point steps elsewhere in this package
 need exactly two derivative orders, so the truncation order is fixed at
 two rather than generic.
 
-Seed an evaluation point with :func:`lift` and constants with
-:func:`const`:
+Seed an evaluation point with :func:`lift`:
 
 >>> y = lift(2.0) * lift(2.0)
 >>> (y.v0, y.v1, y.v2)
 (4.0, 4.0, 2.0)
 
-A bare float, complex or int operand of ``+``, ``-`` and ``*`` is not
-promoted to a constant jet; the sums are written out with its zero
-derivatives kept, so they round exactly as the promoted form would,
-signed zeros included:
+A bare float, complex or int operand of ``+``, ``-``, ``*`` and ``/`` is
+promoted to the constant jet ``Jet2(c, 0.0, 0.0)``, so each operation has
+one formula, and the zero derivatives take part in it, signed zeros
+included:
 
 >>> (Jet2(1.0, -0.0, -0.0) + 1.0).as_tuple()
 (2.0, 0.0, 0.0)
@@ -58,7 +57,6 @@ __all__ = [
     "Jet2",
     "JetDomainError",
     "Scalar",
-    "const",
     "cos",
     "exp",
     "is_finite",
@@ -77,6 +75,11 @@ class JetDomainError(ValueError):
 is_finite = cmath.isfinite
 
 
+# The closure constants that a traced map body takes as parameters: values
+# of exactly one of these types.  A subclass counts as any other constant.
+_PARAMETER_TYPES = (float, complex)
+
+
 class Recorder:
     """Base of a scalar that records the operations applied to it.
 
@@ -89,9 +92,10 @@ class Recorder:
     :func:`exp` catch that and take their ``math`` results from its
     ``calls(what, *functions)``; the jet then goes through ``_chain``, the
     one chain rule, as on a number.  A bare parameter operand of a jet's
-    arithmetic passes ``_scalar`` as a float would.  :func:`pow_real` hands
-    the jet and exponent to the ``pow_real`` of its base's value or of its
-    exponent, which records the run-time branch to ``math.pow``.  The
+    arithmetic is promoted to a constant jet, as a float is.
+    :func:`pow_real` hands the jet and exponent to the ``pow_real`` of its
+    base's value or of its exponent, which records the run-time branch to
+    ``math.pow``.  The
     float, complex and :class:`Jet2` paths run no extra test: each
     ``Recorder`` test comes after their type tests have failed.
     """
@@ -132,60 +136,61 @@ class Jet2:
 
     # ---------- arithmetic ----------
 
-    # A bare float, complex or int operand is not promoted to a jet: each
-    # scalar branch is the jet-jet formula with ``(c, 0.0, 0.0)`` written in,
-    # zero terms kept, so -0.0 and inf*0 come out as with the promotion.
-    # A float operand, the common case, skips the _scalar call.
+    # One formula per operation: a bare operand is first promoted to the
+    # constant jet ``Jet2(c, 0.0, 0.0)`` (see _promote).  A reflected sum or
+    # product keeps the jet on the left: ``c * a`` is ``a * k``, whose v2
+    # has ``2.0 * (a.v1 * k.v1)`` where ``k * a`` has ``2.0 * (k.v1 * a.v1)``.
 
     def __add__(self, other):
-        if type(other) is Jet2:
-            return Jet2(self.v0 + other.v0, self.v1 + other.v1, self.v2 + other.v2)
-        c = other if type(other) is float else _scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Jet2(self.v0 + c, self.v1 + 0.0, self.v2 + 0.0)
+        if type(other) is not Jet2:
+            other = _promote(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Jet2(self.v0 + other.v0, self.v1 + other.v1, self.v2 + other.v2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is Jet2:
-            return Jet2(self.v0 - other.v0, self.v1 - other.v1, self.v2 - other.v2)
-        c = other if type(other) is float else _scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Jet2(self.v0 - c, self.v1 - 0.0, self.v2 - 0.0)
+        if type(other) is not Jet2:
+            other = _promote(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Jet2(self.v0 - other.v0, self.v1 - other.v1, self.v2 - other.v2)
 
     def __rsub__(self, other):
-        c = other if type(other) is float else _scalar(other)
-        if c is NotImplemented:
+        other = _promote(other)
+        if other is NotImplemented:
             return NotImplemented
-        return Jet2(c - self.v0, 0.0 - self.v1, 0.0 - self.v2)
+        return other - self
 
     def __mul__(self, other):
+        if type(other) is not Jet2:
+            other = _promote(other)
+            if other is NotImplemented:
+                return NotImplemented
         a0, a1, a2 = self.v0, self.v1, self.v2
-        if type(other) is Jet2:
-            b0, b1, b2 = other.v0, other.v1, other.v2
-            return Jet2(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + 2.0 * (a1 * b1) + a2 * b0)
-        c = other if type(other) is float else _scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Jet2(a0 * c, a0 * 0.0 + a1 * c, a0 * 0.0 + 2.0 * (a1 * 0.0) + a2 * c)
+        b0, b1, b2 = other.v0, other.v1, other.v2
+        return Jet2(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + 2.0 * (a1 * b1) + a2 * b0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is Jet2:
-            return _div(self, other)
-        c = other if type(other) is float else _scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return _div(self, Jet2(c, 0.0, 0.0))
+        if type(other) is not Jet2:
+            other = _promote(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # a zero value raises ZeroDivisionError, as it does on bare scalars
+        b0, b1, b2 = other.v0, other.v1, other.v2
+        q0 = self.v0 / b0
+        q1 = (self.v1 - q0 * b1) / b0
+        q2 = (self.v2 - 2.0 * (q1 * b1) - q0 * b2) / b0
+        return Jet2(q0, q1, q2)
 
     def __rtruediv__(self, other):
-        c = other if type(other) is float else _scalar(other)
-        if c is NotImplemented:
+        other = _promote(other)
+        if other is NotImplemented:
             return NotImplemented
-        return _div(Jet2(c, 0.0, 0.0), self)
+        return other / self
 
     def __neg__(self):
         return Jet2(-self.v0, -self.v1, -self.v2)
@@ -199,37 +204,24 @@ class Jet2:
         return NotImplemented
 
 
-def _scalar(x):
-    """A bare float or complex as is, an int (not a bool) as a float, else NotImplemented.
+def _promote(c):
+    """A bare operand as the constant jet ``Jet2(c, 0.0, 0.0)``, or NotImplemented.
 
-    A :class:`Recorder` is a traced closure constant (or a value read off a
-    traced jet) and is handed on as is, as a float would be.
+    A float or complex is kept as is (``c + 0.0`` would turn -0.0 into
+    +0.0), an int (not a bool) becomes a float, and a :class:`Recorder`,
+    a traced closure constant or a value read off a traced jet, is kept as
+    a float would be.  Any other type gives NotImplemented.
     """
-    if isinstance(x, (float, complex)):
-        return x  # as is: ``x + 0.0`` turns -0.0 parts into +0.0
-    if isinstance(x, int) and not isinstance(x, bool):
-        return float(x)
-    if isinstance(x, Recorder):
-        return x
+    if isinstance(c, (float, complex, Recorder)):
+        return Jet2(c, 0.0, 0.0)
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Jet2(float(c), 0.0, 0.0)
     return NotImplemented
-
-
-def _div(a: Jet2, b: Jet2) -> Jet2:
-    # a zero value raises ZeroDivisionError, as it does on bare scalars
-    q0 = a.v0 / b.v0
-    q1 = (a.v1 - q0 * b.v1) / b.v0
-    q2 = (a.v2 - 2.0 * (q1 * b.v1) - q0 * b.v2) / b.v0
-    return Jet2(q0, q1, q2)
 
 
 def lift(x: Scalar) -> Jet2:
     """Seed the identity jet at ``x``: value x, slope 1, curvature 0."""
     return Jet2(x + 0.0, 1.0, 0.0)
-
-
-def const(c: Scalar) -> Jet2:
-    """Seed a constant jet: value c, slope 0, curvature 0."""
-    return Jet2(float(c) if isinstance(c, int) else c, 0.0, 0.0)
 
 
 # ---------- elementary functions ----------

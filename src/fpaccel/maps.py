@@ -13,7 +13,7 @@ from types import FunctionType, NoneType
 from typing import Callable, NamedTuple, Optional
 
 from . import jets
-from .jets import Jet2, Scalar, is_finite, lift
+from .jets import _PARAMETER_TYPES, Jet2, Scalar, is_finite, lift
 
 __all__ = [
     "CorpusError",
@@ -57,17 +57,18 @@ class IterationMap(NamedTuple):
     constants share one trace, and the first call on a fresh one binds it.
     A parameter is read when its closure is bound, and every other
     constant the body reads from closures or globals when the key is
-    traced; later changes to either do not reach the map.  A body that
-    compares or branches on its argument's value or on a parameter, that
-    returns no jet, or whose code fails the bitwise check against
-    :class:`Jet2` stays on :class:`Jet2` for all its closures, and so does
-    a closure with a cell that cannot be part of a key, such as a list.
-    A closure whose parameters make the once-per-closure work raise, such
-    as a zero divisor, stays on :class:`Jet2`, which raises the same error
-    on every call; if it triggered the trace, the bitwise check waits for
-    the next closure of the key whose parameters bind.  A body holds its
-    bound code, or None for the :class:`Jet2` path, as its attribute
-    ``_fpaccel_at``.
+    traced; later changes to either do not reach the map.  A closure whose
+    parameters make the once-per-closure work raise, such as a zero
+    divisor, stays on :class:`Jet2`, which raises the same error on every
+    call.  A new trace is checked once, with the first closure of the key
+    whose parameters bind (in the usual case the one that triggered the
+    trace, in the same call): bound to them, it must give the bits of
+    :class:`Jet2` at four points.  A body that compares or branches on its
+    argument's value or on a parameter, that returns no jet, or whose code
+    fails that check stays on :class:`Jet2` for all its closures, and so
+    does a closure with a cell that cannot be part of a key, such as a
+    list.  A body holds its bound code, or None for the :class:`Jet2`
+    path, as its attribute ``_fpaccel_at``.
     """
 
     name: str
@@ -88,14 +89,10 @@ class IterationMap(NamedTuple):
         return self.fn(x + 0.0)
 
 
-# The closure cells that become parameters of traced code: those that hold
-# exactly one of these types.  A subclass counts as any other constant.
-_PARAMETER_TYPES = (float, complex)
-
-# Each key's state: the count of at calls, then its traced code (a function
-# of the closure's float and complex cells that returns the bound code) or
-# None, or the code in a 1-tuple while it waits for a closure whose prologue
-# binds, to check it; with the globals, so that their id in the key stays
+# Each key's state: the count of at calls; then its traced code (a function
+# of the closure's float and complex cells that returns the bound code) in a
+# 1-tuple, until the first closure whose prologue binds checks it; then the
+# checked code, or None.  With the globals, so that their id in the key stays
 # theirs.
 _TRACED: dict = {}
 
@@ -126,12 +123,21 @@ def _bind(fn: Callable, x: Scalar) -> Optional[Callable[[Scalar], Jet2]]:
             return None
         from . import tape  # here, so that import fpaccel does not load it
 
-        state = entry[0] = tape.compile_at(fn, x)
-    elif type(state) is tuple:  # traced, but no closure so far had a prologue that binds
+        bind = tape.trace(fn)
+        state = entry[0] = bind and (bind,)
+    bound = None
+    if type(state) is tuple:  # traced, not yet checked: waits for a closure whose prologue binds
         from . import tape
 
-        state = entry[0] = tape._check_at(fn, x, state[0], params)
-    bound = fn._fpaccel_at = state(*params) if type(state) is FunctionType else None
+        bound = state[0](*params)
+        if bound is not None:
+            if tape.agrees(fn, x, bound):
+                entry[0] = state[0]
+            else:
+                bound = entry[0] = None
+    elif state is not None:
+        bound = state(*params)
+    fn._fpaccel_at = bound
     return bound
 
 

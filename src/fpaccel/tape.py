@@ -1,6 +1,6 @@
 """Straight-line jet code traced from a map body.
 
-:func:`compile_at` runs a map body once on an ordinary
+:func:`trace` runs a map body once on an ordinary
 :class:`~fpaccel.jets.Jet2` made by :func:`~fpaccel.jets.lift` from a
 :class:`Value`, a scalar that records every operation applied to it; the
 slope and curvature seeds are the plain floats 1.0 and 0.0.  So ``Jet2``'s
@@ -38,10 +38,11 @@ scalar operations:
 A body that compares or branches on its argument's value or on a
 parameter (``Value`` raises ``TypeError`` for a comparison or a truth test,
 and so does ``math`` on it), or that returns no jet, is not compiled;
-neither is one whose code CPython cannot compile.  The code is kept only
-when, bound to the parameters of the first closure whose prologue does not
-raise (the one that triggered the trace, or a later one), it agrees bit
-for bit with the ``Jet2`` path at four points, so a body whose trace takes
+neither is one whose code CPython cannot compile.  :meth:`IterationMap.at
+<fpaccel.maps.IterationMap.at>` keeps the code only when, bound to the
+parameters of the first closure whose prologue does not raise (in the
+usual case the one that triggered the trace), it passes :func:`agrees`,
+bit for bit the ``Jet2`` path at four points; so a body whose trace takes
 another branch than the ``Jet2`` path is rejected as well.
 
 ``import fpaccel`` does not load this module; :meth:`IterationMap.at
@@ -57,10 +58,9 @@ from collections import Counter
 from types import CellType, FunctionType
 from typing import Callable, Optional
 
-from .jets import Jet2, Recorder, Scalar, _chain, lift, pow_real
-from .maps import _PARAMETER_TYPES
+from .jets import _PARAMETER_TYPES, Jet2, Recorder, Scalar, _chain, lift, pow_real
 
-__all__ = ["Value", "compile_at", "trace"]
+__all__ = ["Value", "agrees", "trace"]
 
 # names the emitted code reads besides its captured constants
 _GLOBALS = {"Jet2": Jet2, "cmath": cmath, "math": math, "pow_real": pow_real}
@@ -287,17 +287,16 @@ def _outcome(evaluate: Callable, x) -> tuple:
     return tuple((type(v), repr(v)) for v in parts)
 
 
-def _traced(fn: Callable) -> Optional[tuple]:
-    """``fn``'s traced code and parameters, or None if ``fn`` cannot be traced.
+def trace(fn: Callable) -> Optional[Callable]:
+    """``fn``'s traced code, unbound, or None if ``fn`` cannot be traced.
 
     The code is a function of the parameters, the closure cells of ``fn``
-    that hold exactly a float or a complex (``maps._PARAMETER_TYPES``), in
+    that hold exactly a float or a complex (``jets._PARAMETER_TYPES``), in
     cell order.  It runs the prologue and returns the per-call jet
     evaluator, or None when the prologue raises: then the ``Jet2`` path
-    raises on every call.
+    raises on every call.  The code is not checked here; see
+    :func:`agrees`.
     """
-    if type(fn) is not FunctionType:
-        return None
     tape = _Tape()
     params, cells = [], []
     try:
@@ -338,46 +337,17 @@ def _traced(fn: Callable) -> Optional[tuple]:
     except (SyntaxError, RecursionError, MemoryError):  # code too large or deep for CPython
         return None
     exec(code, namespace)
-    return namespace["bind"], params
+    return namespace["bind"]
 
 
-def trace(fn: Callable) -> Optional[Callable[[Scalar], Jet2]]:
-    """``fn``'s jet evaluator as straight-line code, or None if ``fn`` cannot be traced."""
-    traced = _traced(fn)
-    return traced and traced[0](*traced[1])
+def agrees(fn: Callable, x: Scalar, at: Callable[[Scalar], Jet2]) -> bool:
+    """Whether the bound code ``at`` matches ``fn(lift(p))`` bit for bit.
 
-
-def compile_at(fn: Callable, x: Scalar) -> Optional[Callable | tuple]:
-    """Trace ``fn``'s code, and check it with :func:`_check_at`.
-
-    Returns what :func:`_check_at` returns, or None when the body cannot be
-    traced.
+    The check runs at ``x`` and three points made from it; a raised
+    exception must match by type.
     """
-    traced = _traced(fn)
-    if traced is None:
-        return None
-    return _check_at(fn, x, *traced)
-
-
-def _check_at(
-    fn: Callable, x: Scalar, bind: Callable, params: list
-) -> Optional[Callable | tuple]:
-    """Keep traced code only if, bound to ``params``, it matches ``fn(lift(p))`` bit for bit.
-
-    ``params`` are ``fn``'s own parameters.  The check runs at ``x`` and
-    three points made from it; a raised exception must match by type.
-    Returns ``bind`` when the check passes and None when it fails.  When
-    the prologue raises for these parameters, no check can run: it returns
-    ``(bind,)``, and the code awaits a closure whose prologue binds.
-    """
-    at = bind(*params)
-    if at is None:
-        return (bind,)
 
     def on_jet(p):
         return fn(lift(p))
 
-    points = (x, x + 1.0, x - 1.0, -x)
-    if all(_outcome(at, p) == _outcome(on_jet, p) for p in points):
-        return bind
-    return None
+    return all(_outcome(at, p) == _outcome(on_jet, p) for p in (x, x + 1.0, x - 1.0, -x))

@@ -14,7 +14,6 @@ from fpaccel.accelerators import (
     _first_newton,
     adaptive_gauss_kronrod,
     adaptive_simpson,
-    combined_map_value,
     compose_step,
     first_newton_step,
     integral_step,
@@ -113,12 +112,14 @@ def test_step_outcome_unpacks_as_value_and_status():
     assert first_newton_step(0.0, SIN.at(0.0)) == StepOutcome(0.0, Status.CONVERGED)
 
 
-def test_combined_map_value():
-    out = combined_map_value(0.5, 0.25, 0.3)
+def test_phi_step_second_pass_statuses():
+    # u's jet (0, 0.5, 0.25) gives phi = 0.5 and phi' = 0.25, exactly
+    out = phi_step(0.3, Jet2(0.0, 0.5, 0.25))
     assert out.ok
     assert abs(out.value - (0.5 - 0.3 * 0.25) / 0.75) < 1e-16
-    assert combined_map_value(0.5, 1.0, 0.3).status is Status.SINGULAR
-    bad = combined_map_value(float("nan"), 0.25, 0.3)
+    # phi' = 0.5 - (-0.5) = 1: the second pass has no slope to divide by
+    assert phi_step(0.3, Jet2(0.0, 0.5, -0.5)) == (0.3, Status.SINGULAR)
+    bad = phi_step(0.3, Jet2(float("nan"), 0.5, 0.25))
     assert bad.status is Status.NONFINITE
     assert not is_finite(bad.value)
 

@@ -174,6 +174,27 @@ def test_suite_runner_direct(capsys):
     assert out.strip().endswith("6/6 checks passed")
 
 
+def test_suite_failures_print_fail_and_exit_nonzero(capsys, monkeypatch):
+    # a cell past the end of its column, a cell off its value and a failing
+    # extra check each print a FAIL line and count against the total
+    suite = _SUITES["table2"]
+    golden = (suite.golden[0], GoldenValue("phi", 9, -0.25), GoldenValue("plain", 1, 0.5, tol=1e-12))
+    checks = [("phi has four rows", True, "4 rows"), ("plain ends converged", False, "stop=max_iter")]
+    monkeypatch.setitem(_SUITES, "table2", suite._replace(golden=golden, checks=lambda columns: checks))
+    assert run_suite(["table2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS table2 plain[1] 0.25 vs 0.25 (abs tol 1e-12)",
+        "FAIL table2 phi[9] missing (column has 4)",
+        "FAIL table2 plain[1] 0.25 vs 0.5 (abs tol 1e-12)",
+        "PASS table2 phi has four rows (4 rows)",
+        "FAIL table2 plain ends converged (stop=max_iter)",
+        "2/5 checks passed",
+    ]
+    rc, out, _ = _run(capsys, ["--suite", "table1", "--suite", "table2"])
+    assert rc == 1
+    assert out.strip().endswith("19/22 checks passed")
+
+
 def test_unknown_suite(capsys):
     rc, out, err = _run(capsys, ["--suite", "table9"])
     assert rc == 2

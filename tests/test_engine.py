@@ -102,6 +102,14 @@ def test_singular_stop_keeps_previous_point():
     assert tr.last() == 0.0
 
 
+def test_nonfinite_ok_step_keeps_previous_point():
+    # a step that reports OK with an infinite value ends the run nonfinite
+    values = iter((0.5, math.inf, 0.25))
+    tr = iterate(lambda x: (next(values), Status.OK), 1.0, 5)
+    assert tr.stop_reason is Status.NONFINITE
+    assert tr.points == (1.0, 0.5)
+
+
 def test_domain_error_maps_to_domain():
     fd = corpus_lookup("fdil").map
     # real path of (x-1)^1.5 fails below 1
@@ -152,6 +160,9 @@ def test_empirical_order_synthetic():
     assert empirical_order(fast, 0.0).verdict == "superlinear"
     hits = [0.6, 0.0, 0.0, 0.0]
     assert empirical_order(hits, 0.0).verdict == "exact"
+    # only the last iterate lands: every ratio before it is kept
+    lands = [1.0, 0.5, 0.25, 0.0]
+    assert empirical_order(lands, 0.0) == ("exact", None, (0.5, 0.5, 0.0))
     wobble = [1.0, 0.5, 0.05, 0.04]
     assert empirical_order(wobble, 0.0).verdict == "inconclusive"
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fpaccel import jets, tape
+from fpaccel import jets, maps, tape
 from fpaccel.jets import Jet2, is_finite, lift
 from fpaccel.maps import (
     CorpusError,
@@ -283,7 +283,7 @@ def test_value_path_matches_jet_value(case):
     rng = random.Random(f"value-path-{case}")
     raised = 0
     for u, pts in _VALUE_CASES[case](rng):
-        compiled = tape.trace(u.fn)
+        compiled = tape.trace(u.fn)(*maps._signature(u.fn)[1])
         assert compiled is not None, u.name
 
         def on_jet(t):
@@ -316,6 +316,12 @@ def test_corpus_errors():
         corpus_lookup("s_family", alphas=(1.0,) * 5, r=2.0)
     with pytest.raises(CorpusError):
         corpus_lookup("s_family", alphas=(0.0, 0.0), r=2.0)
+    with pytest.raises(CorpusError, match="r must be finite and at least 1"):
+        corpus_lookup("s_family", alphas=(1.0,), r=0.5)
+    with pytest.raises(CorpusError, match="s_family needs parameter alphas"):
+        corpus_lookup("s_family", r=2.0)
+    with pytest.raises(CorpusError, match="parameter a must be real"):
+        corpus_lookup("logistic", a=1j)
     for key in ("alpha", "r", "x_star"):
         params = {"alpha": 1.0, "r": 3.0, key: (1.0, 2.0)}
         with pytest.raises(CorpusError):

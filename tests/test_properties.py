@@ -5,8 +5,8 @@ The examples are derandomized, so every run draws the same cases.
 
 import cmath
 import math
-import operator
 
+import jets_reference
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,10 +28,10 @@ from fpaccel import (
 )
 from fpaccel.accelerators import (
     DEFAULT_TOL,
+    SINGULAR_EPS,
     STEP_ERRORS,
     StepOutcome,
     _first_newton,
-    combined_map_value,
     first_newton_step,
     integral_step,
     standard_step,
@@ -223,7 +223,7 @@ _KERNEL_CODE: dict = {}
 def _kernel_family_code(kinds):
     if kinds not in _KERNEL_CODE:
         traced_from = kernel_family_map(kinds[0](1.5), 2.5, kinds[1](0.25))
-        _KERNEL_CODE[kinds] = tape.compile_at(traced_from.fn, 0.1)
+        _KERNEL_CODE[kinds] = tape.trace(traced_from.fn)
     return _KERNEL_CODE[kinds]
 
 
@@ -284,20 +284,21 @@ def test_renders_of_drawn_columns_match_reference_encoders(problem, columns):
 _jet_float = st.one_of(st.sampled_from((1e308, -1e308)), _any_float)
 _any_scalar = st.one_of(_jet_float, st.builds(complex, _jet_float, _jet_float))
 _any_jets = st.builds(Jet2, _any_scalar, _any_scalar, _any_scalar)
-# each operator with the jet-jet form that ``c op a`` took when a bare c was
-# promoted to k = Jet2(c, 0, 0) first; a * k and k * a differ in the bits of
-# v2, which has 2*a.v1*k.v1 where the other has 2*k.v1*a.v1
-_OPERATORS = (
-    (operator.add, lambda a, k: a + k),
-    (operator.sub, lambda a, k: k - a),
-    (operator.mul, lambda a, k: a * k),
-    (operator.truediv, lambda a, k: k / a),
+# every kind of other operand: floats and complexes as above, ints (also
+# past the float range, where the conversion overflows), bools, a str, None
+# and another jet
+_operands = st.one_of(
+    _any_scalar,
+    st.integers(-(2**60), 2**60),
+    st.sampled_from((2**1030, -(2**1030), True, False, "1.0", None)),
+    _any_jets,
 )
 
 
 def _bits(compute):
     # a result compared component by component on (type, repr), which tells
-    # -0.0 from 0.0; a raised exception compares by its type
+    # -0.0 from 0.0; a raised exception compares by its type, and a
+    # NotImplemented by its repr
     try:
         out = compute()
     except (ArithmeticError, ValueError) as exc:
@@ -306,14 +307,14 @@ def _bits(compute):
     return tuple((type(v), repr(v)) for v in parts)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(_any_jets, st.one_of(_any_scalar, st.integers(-(2**60), 2**60)))
-def test_scalar_operands_match_the_promoted_constant(a, c):
-    # a bare operand gives the bits of the jet-jet operator on Jet2(c, 0, 0)
-    k = Jet2(float(c) if isinstance(c, int) else c, 0.0, 0.0)
-    for op, reflected in _OPERATORS:
-        assert _bits(lambda: op(a, c)) == _bits(lambda: op(a, k)), (op, a, c)
-        assert _bits(lambda: op(c, a)) == _bits(lambda: reflected(a, k)), (op, c, a)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_any_jets, _operands)
+def test_bare_operands_match_the_written_out_reference(a, c):
+    # each operator promotes a bare operand to Jet2(c, 0, 0) and runs its one
+    # formula; the bits must be those of the parent's written-out branches
+    for name, reference in jets_reference.OPERATORS.items():
+        got = _bits(lambda: getattr(Jet2, name)(a, c))
+        assert got == _bits(lambda: reference(a, c)), (name, a, c)
 
 
 def _pow_real_positive_reference(a, exponent):
@@ -408,11 +409,19 @@ def test_sin_cos_gives_the_bits_of_sin_and_cos(a):
 
 
 def _composed_standard_step(x, u_jet, tol):
-    # the reference: the first pass, then the second pass as its own call
+    # the reference: the first pass, then the second pass, the Newton step
+    # (v - x v') / (1 - v') for the residual x - v(x), with its own guards
     val, status, slope = _first_newton(x, u_jet, tol)
     if status is not Status.OK:
         return StepOutcome(val, status)
-    return combined_map_value(val, slope, x)
+    if not (is_finite(val) and is_finite(slope)):
+        nan = complex(math.nan, math.nan) if isinstance(x, complex) else math.nan
+        return StepOutcome(nan, Status.NONFINITE)
+    den = 1.0 - slope
+    if abs(den) <= SINGULAR_EPS * (1.0 + abs(x)):
+        return StepOutcome(x, Status.SINGULAR)
+    w = (val - x * slope) / den
+    return StepOutcome(w, Status.OK if is_finite(w) else Status.NONFINITE)
 
 
 def _ulps_from(v, k):

@@ -28,14 +28,19 @@ def fresh_registry(monkeypatch):
 def traces(monkeypatch):
     """The bodies traced for IterationMap.at, in order."""
     traced = []
-    compile_at = tape.compile_at
+    trace = tape.trace
 
-    def counting(fn, x):
+    def counting(fn):
         traced.append(fn)
-        return compile_at(fn, x)
+        return trace(fn)
 
-    monkeypatch.setattr(tape, "compile_at", counting)
+    monkeypatch.setattr(tape, "trace", counting)
     return traced
+
+
+def _bound(fn):
+    """``fn``'s traced code bound to its own parameters, as IterationMap.at binds it."""
+    return tape.trace(fn)(*maps._signature(fn)[1])
 
 
 def _branches_on_v0(x):
@@ -83,7 +88,7 @@ _FALLBACKS = {
 def test_untraceable_bodies_stay_on_jet2(name):
     fn = _FALLBACKS[name]
     if name != "bound_method":
-        assert tape.compile_at(fn, 0.3) is None
+        assert tape.trace(fn) is None
     u = IterationMap(name, fn)
     for i in range(COMPILE_AFTER + 5):
         x = POINTS[i % len(POINTS)]
@@ -107,10 +112,9 @@ def test_type_testing_body_compiles_on_its_jet2_branch():
 def test_tests_type_body_traces_but_fails_the_check():
     # the traced value is no float, so the trace takes the other branch;
     # only the bitwise check rejects it
-    compiled = tape.trace(_tests_value_type)
-    assert compiled is not None
+    compiled = _bound(_tests_value_type)
     assert compiled(0.3).as_tuple() != _tests_value_type(lift(0.3)).as_tuple()
-    assert tape.compile_at(_tests_value_type, 0.3) is None
+    assert not tape.agrees(_tests_value_type, 0.3, compiled)
 
 
 def test_the_tape_has_no_formulas_of_its_own(monkeypatch):
@@ -126,8 +130,7 @@ def test_the_tape_has_no_formulas_of_its_own(monkeypatch):
     product_rule = body(lift(0.3)).as_tuple()
     monkeypatch.setattr(Jet2, "__mul__", mul)
     monkeypatch.setattr(Jet2, "__rmul__", mul)
-    compiled = tape.trace(body)
-    assert compiled is not None
+    compiled = _bound(body)
     for x in POINTS:
         assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
     assert compiled(0.3).as_tuple() != product_rule
@@ -180,9 +183,7 @@ def test_non_finite_constants_compile():
     def body(x):
         return x * math.inf - math.nan
 
-    bind = tape.compile_at(body, 0.3)
-    assert bind is not None
-    compiled = bind()
+    compiled = _bound(body)
     for x in POINTS:
         assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
 
@@ -223,8 +224,7 @@ def _raises_twice(x):
 def test_exception_order_survives_inlining(x):
     with pytest.raises(OverflowError):
         jets.sin(lift(x) * 1e308 * 10.0)
-    compiled = tape.trace(_raises_twice)
-    assert compiled is not None
+    compiled = _bound(_raises_twice)
     u = IterationMap("raises_twice", _raises_twice)
     for evaluate in (compiled, lambda p: _raises_twice(lift(p)), u.value):
         with pytest.raises(ZeroDivisionError) as raised:
@@ -411,3 +411,69 @@ def test_a_key_is_checked_with_the_first_closure_that_binds(
     assert len(traces) == 1 and len(fresh_registry) == 1
     [(state, _)] = fresh_registry.values()
     assert callable(state) if kept else state is None
+
+
+def _power_of_a_parameter(c):
+    def u(x):
+        return x * jets.pow_real(c, 1.5)
+
+    return u
+
+
+def _parameter_exponent(c):
+    def u(x):
+        return jets.pow_real(x, c)
+
+    return u
+
+
+@pytest.mark.parametrize("make, c", [(_power_of_a_parameter, 2.0), (_parameter_exponent, 1.5j)])
+def test_a_power_the_tape_cannot_write_stays_on_jet2(fresh_registry, traces, monkeypatch, make, c):
+    # the tape writes out only a power whose base depends on the argument,
+    # with a real exponent; a complex exponent raises TypeError on both paths
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    fn = make(c)
+    u = IterationMap("p", fn)
+    for x in POINTS:
+        assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x)
+    assert vars(fn)["_fpaccel_at"] is None
+    assert len(traces) == 1 and [entry[0] for entry in fresh_registry.values()] == [None]
+    if type(c) is complex:
+        for evaluate in (u.at, u.value):
+            with pytest.raises(TypeError, match="exponent must be a real number"):
+                evaluate(0.3)
+
+
+def _double(x):
+    return x + x
+
+
+def _square(x):
+    return x * x
+
+
+def _applying(helper, n, name, shift):
+    # an int, a str, None or a function in a cell counts by its value
+    def u(x):
+        y = getattr(jets, name)(helper(x)) * n
+        return y if shift is None else y + shift
+
+    return u
+
+
+def test_cells_compared_by_value_share_a_trace_only_when_equal(fresh_registry, traces, monkeypatch):
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    bodies = [
+        _applying(_double, 3, "sin", None),
+        _applying(_double, 3, "sin", None),  # the same helper and constants: no new trace
+        _applying(_square, 3, "sin", None),
+        _applying(_double, 4, "sin", None),
+        _applying(_double, 3, "exp", None),
+        _applying(_double, 3, "sin", 0.5),
+    ]
+    for fn in bodies:
+        u = IterationMap("applying", fn)
+        for x in POINTS:
+            assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x)
+        assert callable(fn._fpaccel_at)
+    assert traces == [bodies[0], *bodies[2:]] and len(fresh_registry) == 5
