@@ -39,6 +39,10 @@ with the bits of the two calls but one math sine and cosine evaluation:
 >>> sin_cos(lift(0.5)) == (sin(lift(0.5)), cos(lift(0.5)))
 True
 
+The elementary functions find :mod:`fpaccel.tape`'s traced value, a
+:class:`Recorder`, by type, after their float, complex and :class:`Jet2`
+tests, and let it record the call.
+
 Real jets use :mod:`math`, complex jets use :mod:`cmath`.  On platforms
 where ``cmath`` reduces real-axis arguments through the same kernels as
 ``math`` (this is the common case), a complex jet seeded on the real axis
@@ -86,18 +90,18 @@ class Recorder:
     :mod:`fpaccel.tape` traces a map body by running it on a :class:`Jet2`
     whose value is such a scalar, and the body's float and complex closure
     constants are such scalars too, its parameters; so :class:`Jet2`'s own
-    arithmetic makes every recorded operation.  ``math`` rejects the
-    scalar, and so does any comparison, with a ``TypeError``.
-    ``_sin_cos`` (behind :func:`sin`, :func:`cos` and :func:`sin_cos`) and
-    :func:`exp` catch that and take their ``math`` results from its
+    arithmetic makes every recorded operation.  The scalar has no value
+    to read, so this module never hands it to ``math``: ``_sin_cos``
+    (behind :func:`sin`, :func:`cos` and :func:`sin_cos`) and :func:`exp`
+    find it by type and take their ``math`` results from its
     ``calls(what, *functions)``; the jet then goes through ``_chain``, the
     one chain rule, as on a number.  A bare parameter operand of a jet's
     arithmetic is promoted to a constant jet, as a float is.
     :func:`pow_real` hands the jet and exponent to the ``pow_real`` of its
     base's value or of its exponent, which records the run-time branch to
-    ``math.pow``.  The
-    float, complex and :class:`Jet2` paths run no extra test: each
-    ``Recorder`` test comes after their type tests have failed.
+    ``math.pow``.  Each ``isinstance(..., Recorder)`` test runs only after
+    the float, complex and :class:`Jet2` tests have failed, so a number or
+    a jet never meets one.
     """
 
     __slots__ = ()
@@ -238,7 +242,7 @@ def _chain(a: Jet2, f0: Scalar, f1: Scalar, f2: Scalar) -> Jet2:
 # ends in _chain.  sin, cos and exp test for a bare float first, what
 # IterationMap.value passes on the real line (every quadrature node, every
 # plain step), and hand it straight to math; ints, bools, float subclasses,
-# complex numbers and jets take the isinstance branches after that test.
+# complex numbers, jets and, last, a Recorder take the isinstance branches.
 
 
 def _sin_cos(z: Scalar, what: str) -> tuple:
@@ -247,13 +251,11 @@ def _sin_cos(z: Scalar, what: str) -> tuple:
     try:
         if isinstance(z, complex):
             return cmath.sin(z), cmath.cos(z)
-        return math.sin(z), math.cos(z)
+        if type(z) is float or not isinstance(z, Recorder):
+            return math.sin(z), math.cos(z)
     except ValueError:
         raise OverflowError(f"{what} of an infinite argument") from None
-    except TypeError:
-        if not isinstance(z, Recorder):
-            raise
-        return z.calls(what, "sin", "cos")
+    return z.calls(what, "sin", "cos")
 
 
 def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
@@ -296,13 +298,14 @@ def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
         if not isinstance(a, Jet2):
             return cmath.exp(a) if isinstance(a, complex) else math.exp(a)
         z = a.v0
-        e = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
+        if isinstance(z, complex):
+            e = cmath.exp(z)
+        elif type(z) is float or not isinstance(z, Recorder):
+            e = math.exp(z)
+        else:
+            (e,) = z.calls("exp", "exp")
     except ValueError:
         raise OverflowError("exp of an infinite argument") from None
-    except TypeError:
-        if not isinstance(getattr(a, "v0", None), Recorder):
-            raise
-        (e,) = a.v0.calls("exp", "exp")
     return _chain(a, e, e, e)
 
 
@@ -348,14 +351,10 @@ def pow_real(a: Jet2 | Scalar, exponent: float) -> Jet2 | Scalar:
     # a positive real float base, the common case, goes straight to math.pow
     if type(z) is not float or not z > 0.0:
         cplx = isinstance(z, complex)
+        if not (cplx or type(z) is float) and isinstance(z, Recorder):
+            return z.pow_real(a, b)
         integral = b == int(b)
-        try:
-            is_zero = z == 0
-        except TypeError:
-            if isinstance(z, Recorder):
-                return z.pow_real(a, b)
-            raise
-        if is_zero:
+        if z == 0:
             zero = complex(0.0) if cplx else 0.0
             if b == 0.0:
                 one = zero + 1.0

@@ -63,12 +63,14 @@ class IterationMap(NamedTuple):
     call.  A new trace is checked once, with the first closure of the key
     whose parameters bind (in the usual case the one that triggered the
     trace, in the same call): bound to them, it must give the bits of
-    :class:`Jet2` at four points.  A body that compares or branches on its
-    argument's value or on a parameter, that returns no jet, or whose code
-    fails that check stays on :class:`Jet2` for all its closures, and so
-    does a closure with a cell that cannot be part of a key, such as a
-    list.  A body holds its bound code, or None for the :class:`Jet2`
-    path, as its attribute ``_fpaccel_at``.
+    :class:`Jet2` at five points of both number types.  A body that reads
+    its argument's value or a parameter (a comparison, say, even one whose
+    error it catches), that returns no jet, or whose code fails that check
+    stays on :class:`Jet2` for all its closures, and so does a closure with
+    a cell that cannot be part of a key, such as a list.
+    :mod:`fpaccel.tape` states what counts as a read, and the check.  A
+    body holds its bound code, or None for the :class:`Jet2` path, as its
+    attribute ``_fpaccel_at``.
     """
 
     name: str

@@ -35,15 +35,24 @@ scalar operations:
   integral); any other base calls ``pow_real`` on a ``Jet2``.  The
   exponent is a constant or a real parameter.
 
-A body that compares or branches on its argument's value or on a
-parameter (``Value`` raises ``TypeError`` for a comparison or a truth test,
-and so does ``math`` on it), or that returns no jet, is not compiled;
-neither is one whose code CPython cannot compile.  :meth:`IterationMap.at
+A :class:`Value` has no number to read.  A comparison, a truth test, a
+hash, ``float()``, ``complex()``, ``int()`` or ``operator.index()``
+(which is how ``math`` and ``cmath`` read a number), or any other
+operation of a float that is not written out above (``abs``, ``**``,
+``//``, ``%``, ``round``, ...) raises ``TypeError`` and marks the trace
+as failed, and so does a power this module cannot write out.  A marked
+trace gives no code even when the body caught the error, so a body that
+branches on its argument's value or on a parameter is not compiled;
+neither is one that returns no jet, nor one whose code CPython cannot
+compile.  A body can still branch without a read, on the
+type of its argument's value, and then its trace follows the ``Jet2``
+path for one type of number only.  So :meth:`IterationMap.at
 <fpaccel.maps.IterationMap.at>` keeps the code only when, bound to the
 parameters of the first closure whose prologue does not raise (in the
-usual case the one that triggered the trace), it passes :func:`agrees`,
-bit for bit the ``Jet2`` path at four points; so a body whose trace takes
-another branch than the ``Jet2`` path is rejected as well.
+usual case the one that triggered the trace), it passes :func:`agrees`:
+bit for bit the ``Jet2`` path at five points, four of the triggering
+point's type and one of the other.  The check runs once per new trace,
+never per call.
 
 ``import fpaccel`` does not load this module; :meth:`IterationMap.at
 <fpaccel.maps.IterationMap.at>` imports it when a body first compiles.
@@ -56,7 +65,7 @@ import math
 import re
 from collections import Counter
 from types import CellType, FunctionType
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from .jets import _PARAMETER_TYPES, Jet2, Recorder, Scalar, _chain, lift, pow_real
 
@@ -87,6 +96,12 @@ class _Tape:
         self.pure: set = set()  # temps made by + - * or negation, which never raise
         self.temps = 0
         self.indent = ""
+        self.refused = False  # a value was read, even if the body caught the error
+
+    def refuse(self, message: str) -> NoReturn:
+        """Mark the trace as failed and raise ``TypeError``."""
+        self.refused = True
+        raise TypeError(message)
 
     def text(self, v) -> Optional[str]:
         """An operand as source: a value's name, a constant, or None for anything else."""
@@ -181,10 +196,14 @@ class Value(Recorder):
     # ---------- no value to read while tracing ----------
 
     def _no_value(self, *args):
-        raise TypeError("a traced map body cannot read the value of its argument or parameters")
+        self.tape.refuse("a traced map body cannot read the value of its argument or parameters")
 
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _no_value
-    __hash__ = None
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = __hash__ = _no_value
+    __float__ = __complex__ = __int__ = __index__ = _no_value  # how math and cmath read a number
+    # the rest of a float's operations, which the tape does not write out
+    # (math.floor and math.ceil fall back to __float__)
+    __abs__ = __pos__ = __pow__ = __rpow__ = __mod__ = __rmod__ = __floordiv__ = __rfloordiv__ = _no_value
+    __divmod__ = __rdivmod__ = __round__ = __trunc__ = _no_value
 
     # ---------- what the jets functions ask of a recorder ----------
 
@@ -221,11 +240,11 @@ class Value(Recorder):
         t = self.tape
         base = a.v0 if type(a) is Jet2 else None
         if type(base) is not Value or base.kind:
-            raise TypeError("a traced power needs a base that depends on the argument")
+            t.refuse("a traced power needs a base that depends on the argument")
         z = base.name
         if type(b) is Value:
             if b.kind is not float:
-                raise TypeError("exponent must be a real number")
+                t.refuse("exponent must be a real number")
             integral = t.value(f"{b.name} == int({b.name})", kind=bool).name
             test = f"({z} > 0.0 or {integral} and {z} != 0.0)"
         else:
@@ -312,8 +331,8 @@ def trace(fn: Callable) -> Optional[Callable]:
         out = body(lift(Value(tape, "x")))
     except Exception:  # any failure leaves the body on the Jet2 path, which raises it itself
         return None
-    if type(out) is not Jet2:
-        return None  # a constant or another object: no jet to return
+    if tape.refused or type(out) is not Jet2:
+        return None  # a read the body caught, or a constant or another object: no jet to return
     parts = [tape.text(p) for p in out.as_tuple()]
     if None in parts:
         return None  # a component that is neither a number nor a value of this trace
@@ -343,11 +362,13 @@ def trace(fn: Callable) -> Optional[Callable]:
 def agrees(fn: Callable, x: Scalar, at: Callable[[Scalar], Jet2]) -> bool:
     """Whether the bound code ``at`` matches ``fn(lift(p))`` bit for bit.
 
-    The check runs at ``x`` and three points made from it; a raised
-    exception must match by type.
+    The check runs at ``x``, ``x + 1``, ``x - 1``, ``-x`` and ``x`` as the
+    other type, ``complex(x)`` for a real ``x`` and ``x.real`` for a complex
+    one; a raised exception must match by type.
     """
 
     def on_jet(p):
         return fn(lift(p))
 
-    return all(_outcome(at, p) == _outcome(on_jet, p) for p in (x, x + 1.0, x - 1.0, -x))
+    other = x.real if isinstance(x, complex) else complex(x)
+    return all(_outcome(at, p) == _outcome(on_jet, p) for p in (x, x + 1.0, x - 1.0, -x, other))

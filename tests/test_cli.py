@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from render_reference import reference_csv, reference_json, reference_markdown
 
 from fpaccel import Status
@@ -20,7 +24,7 @@ from fpaccel.cli import (
     run_experiment,
     run_suite,
 )
-from fpaccel.maps import corpus_lookup
+from fpaccel.maps import corpus_lookup, corpus_names
 
 
 def _run(capsys, argv):
@@ -487,3 +491,64 @@ def test_param_tuple_reaches_problem(capsys):
     )
     assert rc == 0
     assert out.splitlines()[1].startswith("0,plain,0.25,")
+
+
+# ---------- drawn argument lists ----------
+
+# Start points and option values where the numbers are hard.  1e4 is left
+# out: one integral:3 step of sin there makes 8.6 million evaluations, as the
+# quadrature halves its error budget at every bisection level.
+_STARTS = ("0", "-0.0", "0.3", "3", "1e-300", "1e3", "-1e3", "1e5", "1e308", "nan", "inf", "-inf", "1e309")
+_NUMBERS = st.one_of(
+    st.sampled_from(("1", "2", "3", "0.5", "1.5", "1,0.5")),
+    st.sampled_from(("0", "-1", "nan", "inf", "-inf", "1e309", "1,nan", ",", "x", "")),
+)
+_KEYS = {"logistic": ("a",), "power_family": ("alpha", "r", "x_star"), "s_family": ("alphas", "r", "x_star")}
+_SPECS = st.one_of(
+    st.sampled_from(("plain", "first_newton", "standard", "phi", "steffensen", "integral:1", "integral:2",
+                     "integral:3", "compose:standard:2", "compose:plain:3", "aitken", "theta2", "w_transform",
+                     "iterated_aitken:2")),
+    st.builds(  # mostly the wrong arguments
+        lambda name, args: ":".join([name, *args]),
+        st.sampled_from((*METHODS, "nope")),
+        st.lists(st.sampled_from(("1", "2", "3", "0", "-1", "standard", "aitken", "x", "")), max_size=3),
+    ),
+)
+_OPTIONS = {
+    "--x0": st.sampled_from(_STARTS),
+    "--x0-im": st.sampled_from(_STARTS),
+    "--tol": st.sampled_from(("1e-6", "0", "-0.0", "-1", "1e-300", "1e300", "nan", "inf")),
+    "--max-iter": st.integers(-1, 8).map(str),
+    "--format": st.sampled_from(("markdown", "csv", "json", "xml")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    problem = draw(st.sampled_from((*corpus_names(), *corpus_names(), "nope", None)))
+    argv = [] if problem is None else ["--problem", problem]
+    for key in _KEYS.get(problem, ()):
+        value = draw(st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, st.none()))
+        if value is not None:
+            argv += ["--param", f"{key}={value}"]
+    stray = draw(st.sampled_from((None,) * 6 + ("beta=1", "a")))  # a key the problem lacks, no "="
+    argv += [] if stray is None else ["--param", stray]
+    argv += [a for m in draw(st.lists(_SPECS, max_size=3)) for a in ("--method", m)]
+    for flag, values in _OPTIONS.items():
+        value = draw(st.one_of(st.none(), values))
+        if value is not None:  # --x0 -inf parses as an option, --x0=-inf as a value
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_argvs())
+def test_drawn_argument_lists_exit_0_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert (code == 0) == (out.getvalue() != "") == (err.getvalue() == ""), argv

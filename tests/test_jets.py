@@ -70,6 +70,10 @@ def test_pow_operator_matches_function():
     a = lift(2.3)
     assert (a**1.5).as_tuple() == pow_real(a, 1.5).as_tuple()
     assert (a**3).as_tuple() == pow_real(a, 3).as_tuple()
+    # any other exponent, a str or a jet, is not a power ** takes
+    for exponent in ("2", lift(2.0)):
+        with pytest.raises(TypeError):
+            a**exponent
 
 
 def test_scalar_mixing():

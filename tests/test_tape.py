@@ -2,12 +2,16 @@
 
 import ast
 import builtins
+import cmath
 import gc
 import math
+import operator
 import weakref
 from types import FunctionType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpaccel import jets, maps, tape
 from fpaccel.jets import Jet2, lift
@@ -67,6 +71,10 @@ def _constant(x):
     return 2.0
 
 
+def _none_component(x):
+    return Jet2(x.v0, None, 0.0)
+
+
 class _Shifted:
     def __init__(self, c):
         self.c = c
@@ -80,6 +88,7 @@ _FALLBACKS = {
     "compares": _compares,
     "bad_exponent": _bad_exponent,
     "constant": _constant,
+    "none_component": _none_component,
     "bound_method": _Shifted(0.25).u,
 }
 
@@ -115,6 +124,105 @@ def test_tests_type_body_traces_but_fails_the_check():
     compiled = _bound(_tests_value_type)
     assert compiled(0.3).as_tuple() != _tests_value_type(lift(0.3)).as_tuple()
     assert not tape.agrees(_tests_value_type, 0.3, compiled)
+
+
+def _compares_in_a_try(x):
+    try:
+        return x * x if x.v0 < 10.0 else x
+    except TypeError:
+        return x * x
+
+
+def _floors_in_a_try(x):
+    try:
+        return x * x if math.floor(x.v0) < 10 else x
+    except TypeError:
+        return x * x
+
+
+# each body, the point of its first call, and a later point: from the first
+# call alone, the type test's trace passes the check at four complex points,
+# and the caught read's at 1, 2, 0 and -1, yet each gives other bits than
+# Jet2 at the later point
+_MISTRACED = {
+    "tests_value_type": (_tests_value_type, complex(0.3, 0.0), 0.3),
+    "compares_in_a_try": (_compares_in_a_try, 1.0, 20.0),
+    "floors_in_a_try": (_floors_in_a_try, 1.0, 20.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISTRACED))
+def test_a_body_traced_off_its_jet2_branch_stays_on_jet2(monkeypatch, name):
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    fn, first, later = _MISTRACED[name]
+    u = IterationMap(name, fn)
+    for x in (first, later, *POINTS):
+        assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x), x
+    assert vars(fn)["_fpaccel_at"] is None
+
+
+# every way to read a traced value's number, and the operations of a float
+# the tape does not write out; each raises TypeError
+_READS = {
+    "compare": lambda v: v < 10.0,
+    "truth": bool,
+    "hash": hash,
+    "float": float,
+    "complex": complex,
+    "int": int,
+    "index": operator.index,
+    "math": math.sqrt,
+    "cmath": cmath.sqrt,
+    "abs": abs,
+    "pos": operator.pos,
+    "pow": lambda v: v**2,
+    "rpow": lambda v: 2.0**v,
+    "mod": lambda v: v % 1.0,
+    "rmod": lambda v: 1.0 % v,
+    "floordiv": lambda v: v // 1.0,
+    "rfloordiv": lambda v: 1.0 // v,
+    "divmod": lambda v: divmod(v, 1.0),
+    "rdivmod": lambda v: divmod(1.0, v),
+    "round": round,
+    "trunc": math.trunc,
+    "floor": math.floor,
+    "ceil": math.ceil,
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_a_caught_read_fails_the_trace(read):
+    def body(x):
+        try:
+            _READS[read](x.v0)
+        except TypeError:
+            pass
+        return x * x
+
+    assert tape.trace(body) is None
+
+
+def _catches_a_power_of(c):
+    def u(x):
+        try:
+            return x * jets.pow_real(c, 1.5)
+        except TypeError:
+            return x
+
+    return u
+
+
+def test_a_caught_refusal_of_a_power_fails_the_trace(fresh_registry, monkeypatch):
+    # the tape writes no power of a parameter; at c = 1.0 the caught
+    # refusal's x would pass the check, and then serve c = 4.0 too
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    for c in (1.0, 4.0):
+        fn = _catches_a_power_of(c)
+        u = IterationMap("p", fn)
+        for x in POINTS:
+            assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x), (c, x)
+        assert vars(fn)["_fpaccel_at"] is None
+    assert [entry[0] for entry in fresh_registry.values()] == [None]
 
 
 def test_the_tape_has_no_formulas_of_its_own(monkeypatch):
@@ -477,3 +585,80 @@ def test_cells_compared_by_value_share_a_trace_only_when_equal(fresh_registry, t
             assert tape._outcome(u.at, x) == tape._outcome(lambda p: fn(lift(p)), x)
         assert callable(fn._fpaccel_at)
     assert traces == [bodies[0], *bodies[2:]] and len(fresh_registry) == 5
+
+
+# ---------- generated bodies against Jet2 ----------
+
+# A body is a tree over the grammar the tape writes out: the argument, a
+# constant, one of two closure parameters, + - * /, negation, sin, cos,
+# either half of sin_cos, exp, and pow_real with a constant or a parameter
+# exponent.  _evaluate runs it on a jet or on a traced value alike.
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308)
+_floats = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0))
+_numbers = st.one_of(_floats, st.builds(complex, _floats, _floats))
+_constants = st.one_of(_numbers, st.integers(-3, 3)).map(lambda c: ("k", c))
+_params = st.sampled_from((("p", 0), ("p", 1)))
+_exponents = st.one_of(
+    st.sampled_from((0, 1, 2, 3, -1, 0.5, 1.5, 2.5, -0.5, 0.0, math.inf)).map(lambda b: ("k", b)),
+    _params,
+)
+
+
+def _grammar(children, operands):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, operands),
+        st.tuples(st.sampled_from("+-*/"), operands, children),
+        st.tuples(st.sampled_from(("neg", "sin", "cos", "exp")), children),
+        st.tuples(st.just("sin_cos"), st.sampled_from((0, 1)), children),
+        st.tuples(st.just("pow"), children, _exponents),
+    )
+
+
+# an operand may hold the argument or not; a body always does
+_operands = st.recursive(
+    st.one_of(st.just(("x",)), _constants, _params), lambda c: _grammar(c, c), max_leaves=4
+)
+_bodies = st.recursive(st.just(("x",)), lambda c: _grammar(c, _operands), max_leaves=8)
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_POINTS = (*POINTS, -0.0, 1e300, math.nan, complex(-2.0, 0.0), complex(0.0, -0.0), complex(3.0, 1e-3))
+
+
+def _evaluate(node, x, params):
+    op, *args = node
+    if op == "x":
+        return x
+    if op == "k":
+        return args[0]
+    if op == "p":
+        return params[args[0]]
+    if op in _ARITHMETIC:
+        return _ARITHMETIC[op](_evaluate(args[0], x, params), _evaluate(args[1], x, params))
+    if op == "neg":
+        return -_evaluate(args[0], x, params)
+    if op == "sin_cos":
+        return jets.sin_cos(_evaluate(args[1], x, params))[args[0]]
+    if op == "pow":
+        return jets.pow_real(_evaluate(args[0], x, params), _evaluate(args[1], x, params))
+    return getattr(jets, op)(_evaluate(args[0], x, params))
+
+
+def _generated(tree, p0, p1):
+    def u(x):
+        return _evaluate(tree, x, (p0, p1))
+
+    return u
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(_bodies, _numbers, _numbers, _numbers)
+def test_generated_bodies_match_jet2(tree, p0, p1, z):
+    fn = _generated(tree, p0, p1)
+    bind = tape.trace(fn)
+    if bind is None:
+        return  # no jet to return, or a read: the body stays on Jet2
+    on_jet = [tape._outcome(lambda p: fn(lift(p)), x) for x in (z, *_POINTS)]
+    at = bind(*maps._signature(fn)[1])
+    if at is None:  # the prologue raised, so the Jet2 path raises at every point
+        assert all(len(outcome) == 1 for outcome in on_jet)
+    else:
+        assert [tape._outcome(at, x) for x in (z, *_POINTS)] == on_jet
