@@ -453,11 +453,16 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
 
     so each step is a single adaptive Gauss-Kronrod 7-15 quadrature
     (:func:`adaptive_gauss_kronrod`, a budget of QUAD_TOL or 1e-15 of the
-    integral, whichever is larger).  For a map g with fixed point 0 the
-    repeated averaging flattens the residual, one contact order per level.
-    Real arguments only; ``depth`` is 1, 2 or 3.  Where the budget cannot
-    be met, such as at 1e5 on ``sin`` at depth 3, it raises
-    :class:`QuadratureError`, one of :data:`STEP_ERRORS`.
+    integral, whichever is larger).  The integrand is g(t) at depth 1,
+    (x - t) * g(t) at depth 2 and (x - t) ** 2 * g(t) at depth 3, and the
+    integral is divided by 1, 1 or 2.  Python's float ``** 1`` returns its
+    base, so depth 2 leaves it out; depth 3 keeps ``** 2``, since C's
+    ``pow`` need not round the square as ``(x - t) * (x - t)`` does.  For a
+    map g with fixed point 0 the repeated averaging flattens the residual,
+    one contact order per level.  Real arguments only; ``depth`` is 1, 2
+    or 3.  Where the budget cannot be met, such as at 1e5 on ``sin`` at
+    depth 3, it raises :class:`QuadratureError`, one of
+    :data:`STEP_ERRORS`.
     """
     if isinstance(x, complex):
         raise ValueError("integral step handles real points only")
@@ -467,6 +472,13 @@ def integral_step(x: Scalar, g, depth: int) -> StepOutcome:
         return _record(StepOutcome, (0.0, _OK))
     x = float(x)
     value_of = g.value
-    n = depth - 1
-    fn = value_of if depth == 1 else lambda t: (x - t) ** n * value_of(t)
-    return _outcome(adaptive_gauss_kronrod(fn, 0.0, x) / math.factorial(n))
+    if depth == 1:
+        fn = value_of
+    elif depth == 2:
+        fn = lambda t: (x - t) * value_of(t)
+    else:
+        fn = lambda t: (x - t) ** 2 * value_of(t)
+    # over (depth - 1)!; even / 1 stays, since complex / 1 turns an
+    # infinite imaginary part into a nan real part
+    val = adaptive_gauss_kronrod(fn, 0.0, x) / (2 if depth == 3 else 1)
+    return _record(StepOutcome, (val, _OK if is_finite(val) else _NONFINITE))

@@ -102,9 +102,9 @@ def iterate(
                 break
             if status is _CONVERGED:
                 reason = _CONVERGED
-            elif abs(val) > divergence_bound:
+            elif (size := abs(val)) > divergence_bound:
                 reason = _DIVERGED
-            elif abs(val - x) <= tol * (1.0 + abs(val)):
+            elif abs(val - x) <= tol * (1.0 + size):
                 reason = _CONVERGED
             else:
                 points.append(val)

@@ -91,10 +91,10 @@ class Recorder:
     whose value is such a scalar, and the body's float and complex closure
     constants are such scalars too, its parameters; so :class:`Jet2`'s own
     arithmetic makes every recorded operation.  The scalar has no value
-    to read, so this module never hands it to ``math``: ``_sin_cos``
-    (behind :func:`sin`, :func:`cos` and :func:`sin_cos`) and :func:`exp`
-    find it by type and take their ``math`` results from its
-    ``calls(what, *functions)``; the jet then goes through ``_chain``, the
+    to read, so this module never hands it to ``math``: :func:`sin`,
+    :func:`cos`, :func:`sin_cos` and :func:`exp` find it by type, bare or
+    as a jet's value, and take their ``math`` results from its
+    ``calls(what, *functions)``; a jet then goes through ``_chain``, the
     one chain rule, as on a number.  A bare parameter operand of a jet's
     arithmetic is promoted to a constant jet, as a float is.
     :func:`pow_real` hands the jet and exponent to the ``pow_real`` of its
@@ -245,6 +245,17 @@ def _chain(a: Jet2, f0: Scalar, f1: Scalar, f2: Scalar) -> Jet2:
 # complex numbers, jets and, last, a Recorder take the isinstance branches.
 
 
+def _scalar(z, name: str, real, cplx):
+    # sin, cos or exp of a bare number that is not a float: cplx for a
+    # complex, real for an int, a bool or a float subclass, and a Recorder
+    # records the math call
+    if isinstance(z, complex):
+        return cplx(z)
+    if not isinstance(z, Recorder):
+        return real(z)
+    return z.calls(name, name)[0]
+
+
 def _sin_cos(z: Scalar, what: str) -> tuple:
     # (sin z, cos z) for the jet paths of sin, cos and sin_cos and the
     # scalar path of sin_cos; a Recorder gives its recorded pair
@@ -263,7 +274,7 @@ def sin(a: Jet2 | Scalar) -> Jet2 | Scalar:
         if type(a) is float:
             return math.sin(a)
         if not isinstance(a, Jet2):
-            return cmath.sin(a) if isinstance(a, complex) else math.sin(a)
+            return _scalar(a, "sin", math.sin, cmath.sin)
     except ValueError:
         raise OverflowError("sin of an infinite argument") from None
     s, c = _sin_cos(a.v0, "sin")
@@ -275,7 +286,7 @@ def cos(a: Jet2 | Scalar) -> Jet2 | Scalar:
         if type(a) is float:
             return math.cos(a)
         if not isinstance(a, Jet2):
-            return cmath.cos(a) if isinstance(a, complex) else math.cos(a)
+            return _scalar(a, "cos", math.cos, cmath.cos)
     except ValueError:
         raise OverflowError("cos of an infinite argument") from None
     s, c = _sin_cos(a.v0, "cos")
@@ -296,7 +307,7 @@ def exp(a: Jet2 | Scalar) -> Jet2 | Scalar:
         if type(a) is float:
             return math.exp(a)
         if not isinstance(a, Jet2):
-            return cmath.exp(a) if isinstance(a, complex) else math.exp(a)
+            return _scalar(a, "exp", math.exp, cmath.exp)
         z = a.v0
         if isinstance(z, complex):
             e = cmath.exp(z)

@@ -23,8 +23,20 @@ the end.  A prologue that raises (a division by a zero parameter, an
 infinite or nan exponent) returns None, and that closure stays on the
 ``Jet2`` path, which raises the same error on every call.  Every other
 constant the body reads, from other cells, defaults or globals, is
-captured as it is when the body is traced.  This module writes out only
-scalar operations:
+captured as it is when the body is traced.
+
+An operation the per-call code repeats, the same text on the same
+operands, such as the ``t * 0.0`` of several product rules, is written
+once, and the repeat reads the first one's temp: local value numbering
+(Aho, Lam, Sethi and Ullman, *Compilers*, 2nd ed., 2006).  This keeps
+every bit, since the same IEEE operation on the same operands gives the
+same bits, and a repeated division can raise only where its first
+occurrence has already raised.  An operation made inside ``pow_real``'s
+run-time branch is reused only inside that branch, which may not run.
+:mod:`linecache` holds the emitted source for as long as the code lives,
+so a traceback through the code shows its lines.
+
+This module writes out only scalar operations:
 
 - ``+ - * /`` and negation;
 - the ``math``/``cmath`` calls of ``sin``, ``cos``, ``sin_cos`` and
@@ -61,9 +73,12 @@ never per call.
 from __future__ import annotations
 
 import cmath
+import linecache
 import math
 import re
+import weakref
 from collections import Counter
+from itertools import count
 from types import CellType, FunctionType
 from typing import Callable, NoReturn, Optional
 
@@ -76,6 +91,9 @@ _GLOBALS = {"Jet2": Jet2, "cmath": cmath, "math": math, "pow_real": pow_real}
 
 # the name of a temp of the per-call code (a prologue temp is q<n>, a parameter p<n>)
 _TEMP = re.compile(r"\bt\d+\b")
+
+# numbers each trace's file name, under which linecache holds its source
+_TRACES = count(1)
 
 # how many temps deep one inlined expression may nest: a long sum would
 # otherwise pass CPython's limit on nested parentheses (200)
@@ -94,6 +112,7 @@ class _Tape:
         self.prologue: list = []
         self.constants: dict = {}
         self.pure: set = set()  # temps made by + - * or negation, which never raise
+        self.made: dict = {}  # the temp of each per-call expression emitted and still in scope
         self.temps = 0
         self.indent = ""
         self.refused = False  # a value was read, even if the body caught the error
@@ -125,15 +144,20 @@ class _Tape:
         self.lines.extend(self.indent + line for line in lines)
 
     def value(self, expression: str, pure: bool = False, kind: Optional[type] = None) -> Value:
-        """A new temp holding ``expression``; one of a ``kind`` goes in the prologue."""
+        """A temp holding ``expression``; one of a ``kind`` goes in the prologue.
+
+        A per-call expression already emitted in scope gives its temp again.
+        """
         if kind is not None:
             name = self.temp("q")
             self.prologue.append(f"{name} = {expression}")
             return Value(self, name, kind)
-        name = self.temp()
-        self.emit(f"{name} = {expression}")
-        if pure:
-            self.pure.add(name)
+        name = self.made.get(expression)
+        if name is None:
+            name = self.made[expression] = self.temp()
+            self.emit(f"{name} = {expression}")
+            if pure:
+                self.pure.add(name)
         return Value(self, name)
 
     def binary(self, a, op: str, b):
@@ -253,7 +277,8 @@ class Value(Recorder):
         c2 = b * bm1
         out, j = [t.temp() for _ in range(3)], t.temp()
         t.emit(f"if type({z}) is float and {test}:")
-        t.indent = "    "
+        t.indent, outside = "    ", t.made
+        t.made = dict(outside)  # what the branch makes is not in scope after it
         f0 = t.value(f"math.pow({z}, {t.text(b)})")
         d1 = b * t.value(f"math.pow({z}, {t.text(bm1)})")
         pow2 = f"math.pow({z}, {t.text(b - 2.0)})"
@@ -263,7 +288,7 @@ class Value(Recorder):
             d2 = 0.0 if c2 == 0.0 else c2 * t.value(pow2)
         fast = _chain(a, f0, d1, d2)
         t.emit(f"{', '.join(out)} = {', '.join(map(t.text, fast.as_tuple()))}")
-        t.indent = ""
+        t.indent, t.made = "", outside
         t.emit(
             "else:",
             f"    {j} = pow_real(Jet2({z}, {t.text(a.v1)}, {t.text(a.v2)}), {t.text(b)})",
@@ -351,12 +376,17 @@ def trace(fn: Callable) -> Optional[Callable]:
         + "    return at\n"
     )
     namespace = {**_GLOBALS, **tape.constants}
+    filename = f"<traced {fn.__qualname__} {next(_TRACES)}>"
     try:
-        code = compile(source, f"<traced {fn.__qualname__}>", "exec")
+        code = compile(source, filename, "exec")
     except (SyntaxError, RecursionError, MemoryError):  # code too large or deep for CPython
         return None
     exec(code, namespace)
-    return namespace["bind"]
+    bind = namespace["bind"]
+    # a traceback through the code shows its lines for as long as the code lives
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    weakref.finalize(bind, linecache.cache.pop, filename, None)
+    return bind
 
 
 def agrees(fn: Callable, x: Scalar, at: Callable[[Scalar], Jet2]) -> bool:

@@ -1,10 +1,15 @@
-"""Reference Gauss-Kronrod 7-15 rule that ``fpaccel.accelerators.adaptive_gauss_kronrod`` must match bit for bit.
+"""Reference forms that ``fpaccel.accelerators`` must match bit for bit.
 
-It walks the node table in a loop, where the library writes each node pair
-out as straight-line code, and it reads the library's own tables, budget
-and bisection limit.  So the two agree on every result, every evaluation
-point in order and the first exception raised, unless the straight-line
-panel takes its nodes or adds its terms in another order.
+``reference_gauss_kronrod`` is the Gauss-Kronrod 7-15 rule of
+``adaptive_gauss_kronrod``, and ``reference_integral_step`` is
+``integral_step``'s value as first written.
+
+The rule walks the node table in a loop, where the library writes each
+node pair out as straight-line code, and it reads the library's own
+tables, budget and bisection limit.  So the two agree on every result,
+every evaluation point in order and the first exception raised, unless
+the straight-line panel takes its nodes or adds its terms in another
+order.
 """
 
 import math
@@ -17,6 +22,7 @@ from fpaccel.accelerators import (
     _XGK,
     QUAD_TOL,
     QuadratureError,
+    adaptive_gauss_kronrod,
 )
 
 
@@ -52,3 +58,11 @@ def _branch(f, a, b, tol, depth):
     if depth <= 0:
         raise QuadratureError(f"tolerance not reached on [{a:g}, {b:g}]")
     return _branch(f, a, c, 0.5 * tol, depth - 1) + _branch(f, c, b, 0.5 * tol, depth - 1)
+
+
+def reference_integral_step(x, g, depth):
+    """``integral_step``'s value as first written, with ``** (depth - 1)`` and ``math.factorial``."""
+    x = float(x)
+    n = depth - 1
+    fn = g.value if depth == 1 else lambda t: (x - t) ** n * g.value(t)
+    return adaptive_gauss_kronrod(fn, 0.0, x) / math.factorial(n)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from quadrature_reference import reference_gauss_kronrod
+from quadrature_reference import reference_gauss_kronrod, reference_integral_step
 
 from fpaccel.accelerators import (
     _XGK,
@@ -24,7 +24,7 @@ from fpaccel.accelerators import (
 )
 from fpaccel.engine import iterate
 from fpaccel.jets import Jet2, is_finite
-from fpaccel.maps import IterationMap, corpus_lookup
+from fpaccel.maps import IterationMap, corpus_lookup, kernel_family_map
 
 SIN = corpus_lookup("sin").map
 LOG1 = corpus_lookup("logistic", a=1.0).map
@@ -322,6 +322,36 @@ def test_integral_step_matches_closed_forms_at_drawn_points(x, depth, u):
     out = integral_step(x, u, depth)
     assert out.ok
     assert abs(out.value - INTEGRAL_TOWERS[u][depth - 1](x)) <= 1e-12
+
+
+def _bits(run):
+    # the result by (type, repr), so -0.0 is told from 0.0; or the exception type
+    try:
+        out = run()
+    except Exception as exc:
+        return type(exc)
+    return type(out), repr(out)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(
+    st.floats(1e-300, 1e3),
+    st.booleans(),
+    st.integers(1, 3),
+    # complex-valued on the real line, so the integrals are complex
+    st.sampled_from([SIN, LOG1, kernel_family_map(complex(0.5, -0.25), 2.0, 0.0)]),
+)
+def test_integral_step_matches_its_first_form(magnitude, negative, depth, u):
+    x = -magnitude if negative else magnitude
+    got = _bits(lambda: integral_step(x, u, depth).value)
+    assert got == _bits(lambda: reference_integral_step(x, u, depth))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_integral_step_and_its_first_form_fail_alike(depth):
+    for step in (integral_step, reference_integral_step):
+        with pytest.raises(QuadratureError):
+            step(1e5, SIN, depth)
 
 
 def test_integral_step_evaluation_count():

@@ -1,11 +1,12 @@
 """IterationMap.at's traced code: when it is used, when it is not, and how long it lives."""
 
 import ast
-import builtins
 import cmath
 import gc
+import linecache
 import math
 import operator
+import traceback
 import weakref
 from types import FunctionType
 
@@ -40,6 +41,28 @@ def traces(monkeypatch):
 
     monkeypatch.setattr(tape, "trace", counting)
     return traced
+
+
+def _source(bind):
+    """The source of traced code, as linecache holds it for tracebacks."""
+    return "".join(linecache.getlines(bind.__code__.co_filename))
+
+
+def _per_call(bind):
+    """The ``bind`` and ``at`` definitions of traced code, as ast nodes."""
+    (definition,) = ast.parse(_source(bind)).body
+    (at,) = [node for node in definition.body if isinstance(node, ast.FunctionDef)]
+    return definition, at
+
+
+def _names(nodes, context) -> set:
+    """The names that ``nodes`` read (``ast.Load``) or write (``ast.Store``)."""
+    return {
+        node.id
+        for root in nodes
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, context)
+    }
 
 
 def _bound(fn):
@@ -212,6 +235,28 @@ def _catches_a_power_of(c):
     return u
 
 
+# sin, cos or exp of a bare closure constant, a parameter of the trace
+_OF_A_CONSTANT = {
+    "x + sin(c)": lambda c: lambda x: x + jets.sin(c),
+    "x * cos(c)": lambda c: lambda x: x * jets.cos(c),
+    "x + exp(c)": lambda c: lambda x: x + jets.exp(c),
+    "x * exp(c)": lambda c: lambda x: x * jets.exp(c),
+}
+
+
+@pytest.mark.parametrize("c", [0.7, complex(0.7, -0.2), math.inf])
+@pytest.mark.parametrize("name", sorted(_OF_A_CONSTANT))
+def test_an_elementary_function_of_a_bare_parameter_compiles(fresh_registry, monkeypatch, name, c):
+    body = _OF_A_CONSTANT[name](c)
+    compiled = _bound(body)
+    for x in POINTS:
+        assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    u = IterationMap(name, body)
+    assert tape._outcome(u.at, 0.3) == tape._outcome(lambda p: body(lift(p)), 0.3)
+    assert callable(vars(body)["_fpaccel_at"])
+
+
 def test_a_caught_refusal_of_a_power_fails_the_trace(fresh_registry, monkeypatch):
     # the tape writes no power of a parameter; at c = 1.0 the caught
     # refusal's x would pass the check, and then serve c = 4.0 too
@@ -251,11 +296,11 @@ def test_the_tape_has_no_formulas_of_its_own(monkeypatch):
 # per closure: the work on float and complex closure constants alone.
 _CORPUS_OPERATIONS = {
     "sin": ({}, (2, 0, 4, 0, 1, 7), (0, 0, 0, 0, 0, 0)),
-    "logistic": ({"a": 1.0}, (7, 1, 10, 0, 2, 1), (0, 0, 2, 0, 0, 0)),
+    "logistic": ({"a": 1.0}, (7, 1, 9, 0, 2, 1), (0, 0, 2, 0, 0, 0)),
     "fdil": ({}, (5, 1, 6, 0, 1, 7), (0, 0, 0, 0, 0, 0)),
-    "s_family": ({"alphas": (1.0, 0.5), "r": 1.0}, (15, 1, 26, 0, 0, 13), (2, 4, 2, 0, 0, 2)),
-    "power_family": ({"alpha": 1.0, "r": 3.0}, (8, 1, 13, 0, 4, 7), (0, 2, 1, 0, 0, 1)),
-    "kvb_complex": ({}, (28, 10, 55, 0, 2, 11), (0, 0, 0, 0, 0, 0)),
+    "s_family": ({"alphas": (1.0, 0.5), "r": 1.0}, (15, 1, 24, 0, 0, 13), (2, 4, 2, 0, 0, 2)),
+    "power_family": ({"alpha": 1.0, "r": 3.0}, (8, 1, 12, 0, 4, 7), (0, 2, 1, 0, 0, 1)),
+    "kvb_complex": ({}, (26, 10, 47, 0, 2, 11), (0, 0, 0, 0, 0, 0)),
 }
 _COUNTED = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.Call)
 
@@ -270,18 +315,9 @@ def _operations(nodes) -> tuple:
 
 
 @pytest.mark.parametrize("problem", sorted(_CORPUS_OPERATIONS))
-def test_corpus_bodies_compile_to_pinned_operation_counts(monkeypatch, problem):
+def test_corpus_bodies_compile_to_pinned_operation_counts(problem):
     params, per_call, prologue = _CORPUS_OPERATIONS[problem]
-    sources = []
-
-    def capture(source, *args):
-        sources.append(source)
-        return builtins.compile(source, *args)
-
-    monkeypatch.setattr(tape, "compile", capture, raising=False)
-    assert tape.trace(corpus_lookup(problem, **params).map.fn) is not None
-    (bind,) = ast.parse(sources[0]).body
-    (at,) = [node for node in bind.body if isinstance(node, ast.FunctionDef)]
+    bind, at = _per_call(tape.trace(corpus_lookup(problem, **params).map.fn))
     assert _operations([at]) == per_call
     assert _operations([node for node in bind.body if node is not at]) == prologue
 
@@ -338,6 +374,75 @@ def test_exception_order_survives_inlining(x):
         with pytest.raises(ZeroDivisionError) as raised:
             evaluate(x)
         assert raised.type is ZeroDivisionError
+
+
+# ---------- an operation repeated in a body is written once ----------
+
+
+def _divides_twice(x):
+    # at 2.0 the first division raises, so the second, the same text, never runs
+    return (1.0 / (x - 2.0)) * (1.0 / (x - 2.0))
+
+
+def _divides_once(x):
+    return 1.0 / (x - 2.0)
+
+
+def _zero_times(y):
+    # the slope 0.0 * y.v1: the text pow_real's fast path writes for the exponent 1.0
+    return Jet2(0.0, 0.0, 0.0) * y
+
+
+def _reuses_around_a_power(x):
+    # made before the fast path, read inside it and asked for again after it
+    y = x * x
+    return _zero_times(y) + jets.pow_real(y, 1.0) + _zero_times(y)
+
+
+def _reuses_after_a_power(x):
+    # made first inside the fast path, where the branch did not run it is unbound
+    y = x * x
+    return jets.pow_real(y, 1.0) + _zero_times(y)
+
+
+_REPEATS = (0.3, -1.25, 2.0, 0.0, -0.0, math.inf, math.nan, complex(0.5, -0.25), complex(2.0, 0.0))
+
+
+@pytest.mark.parametrize("body", [_divides_twice, _reuses_around_a_power, _reuses_after_a_power])
+def test_bodies_that_repeat_an_operation_match_jet2(body):
+    compiled = _bound(body)
+    for x in _REPEATS:
+        assert tape._outcome(compiled, x) == tape._outcome(lambda p: body(lift(p)), x), x
+
+
+def test_a_repeated_division_is_written_once():
+    assert _source(tape.trace(_divides_twice)).count(" / ") == 3
+    assert _source(tape.trace(_divides_once)).count(" / ") == 3
+
+
+def test_an_operation_made_before_a_power_is_read_inside_it():
+    _, at = _per_call(tape.trace(_reuses_around_a_power))
+    (branch,) = [node for node in at.body if isinstance(node, ast.If)]
+    made = {
+        target.id: ast.unparse(node.value)
+        for node in at.body[: at.body.index(branch)]
+        for target in node.targets
+    }
+    read = _names(branch.body, ast.Load) & made.keys()
+    assert any(made[name].startswith("0.0 * t") for name in read), made
+
+
+def test_an_operation_made_inside_a_power_is_made_again_after_it():
+    _, at = _per_call(tape.trace(_reuses_after_a_power))
+    (branch,) = [node for node in at.body if isinstance(node, ast.If)]
+    after = at.body[at.body.index(branch) + 1 :]
+
+    def expressions(nodes):
+        return {ast.unparse(node) for root in nodes for node in ast.walk(root) if isinstance(node, ast.BinOp)}
+
+    assert any(e.startswith("0.0 * t") for e in expressions([branch]) & expressions(after))
+    # after the branch only the temps both its paths assign are read
+    assert _names(after, ast.Load) & _names(branch.body, ast.Store) <= _names(branch.orelse, ast.Store)
 
 
 def test_a_map_used_ten_times_leaves_only_its_count(fresh_registry):
@@ -410,6 +515,37 @@ def test_the_registry_starts_again_when_full(fresh_registry, monkeypatch):
     assert all(callable(u.fn._fpaccel_at) for u in bodies)
     for u in bodies:
         assert tape._outcome(u.at, 0.3) == tape._outcome(lambda p: u.fn(lift(p)), 0.3)
+
+
+def test_traced_sources_leave_linecache_with_their_code(fresh_registry, monkeypatch):
+    # fresh s_family coefficients make a new key, and so a new trace, for each map
+    monkeypatch.setattr(maps, "_MAX_KEYS", 4)
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+
+    def traced_files():
+        gc.collect()
+        return {name for name in linecache.cache if name.startswith("<traced ")}
+
+    before = traced_files()
+    for i in range(200):
+        u = corpus_lookup("s_family", alphas=(1.0, 1.0 + i / 256.0), r=1.0).map
+        u.at(0.3)
+        assert u.fn._fpaccel_at.__code__.co_filename in linecache.cache
+    del u
+    # one source per key the registry still holds; the rest went with their code
+    assert len(traced_files() - before) <= maps._MAX_KEYS
+
+
+def test_a_traceback_from_traced_code_shows_its_line(monkeypatch):
+    monkeypatch.setattr(maps, "COMPILE_AFTER", 0)
+    u = IterationMap("sine", lambda x: jets.sin(x))
+    u.at(0.5)
+    assert callable(u.fn._fpaccel_at)
+    with pytest.raises(OverflowError) as raised:
+        u.at(math.inf)
+    assert raised.traceback[-1].frame.code.raw.co_filename.startswith("<traced ")
+    text = "".join(traceback.format_exception(raised.value))
+    assert 'raise OverflowError("sin of an infinite argument") from None' in text
 
 
 def _compares_its_constant(c):
@@ -611,6 +747,8 @@ def _grammar(children, operands):
         st.tuples(st.sampled_from(("neg", "sin", "cos", "exp")), children),
         st.tuples(st.just("sin_cos"), st.sampled_from((0, 1)), children),
         st.tuples(st.just("pow"), children, _exponents),
+        # one subtree evaluated twice, so the second copy repeats the first's operations
+        st.tuples(st.just("twice"), st.sampled_from("+-*/"), children),
     )
 
 
@@ -635,6 +773,8 @@ def _evaluate(node, x, params):
         return _ARITHMETIC[op](_evaluate(args[0], x, params), _evaluate(args[1], x, params))
     if op == "neg":
         return -_evaluate(args[0], x, params)
+    if op == "twice":
+        return _ARITHMETIC[args[0]](_evaluate(args[1], x, params), _evaluate(args[1], x, params))
     if op == "sin_cos":
         return jets.sin_cos(_evaluate(args[1], x, params))[args[0]]
     if op == "pow":
