@@ -19,10 +19,13 @@ Each step function returns a :class:`StepOutcome` instead of raising:
 the input already being a fixed point (within ``tol``), a vanishing
 denominator and a non-finite evaluation are reported as a
 :class:`Status`, the one vocabulary the steps, the iteration driver and
-the sequence transforms share.  The converged check always runs first;
-at an exact fixed point the denominators are 0/0 and some maps have
-non-finite second derivatives there, so the order of the guards is
-load-bearing.
+the sequence transforms share.  The steps that take ``tol`` test u(x)
+for finiteness first; once it is finite, the converged check runs
+before the derivatives are tested and before any denominator is formed.
+At an exact fixed point the denominators are 0/0 and some maps have
+non-finite second derivatives there, so that order is load-bearing.
+``plain_step``, ``phi_step`` and ``integral_step`` have no converged
+check.
 """
 
 from __future__ import annotations
@@ -84,11 +87,12 @@ class Status(str, Enum):
     END_OF_INPUT = "end_of_input"
 
 
-# The members the steps return, bound once: on Python 3.11 a read of
-# ``Status.OK`` goes through ``EnumType.__getattr__``, ten times the cost of
-# reading a module global.
+# The members the steps, engine and transforms read, bound once: on Python
+# 3.11 a read of ``Status.OK`` goes through ``EnumType.__getattr__``, ten times
+# the cost of reading a module global.
 _OK, _CONVERGED, _SINGULAR = Status.OK, Status.CONVERGED, Status.SINGULAR
 _NONFINITE, _DOMAIN = Status.NONFINITE, Status.DOMAIN
+_DIVERGED, _MAX_ITER = Status.DIVERGED, Status.MAX_ITER
 
 
 class QuadratureError(RuntimeError):

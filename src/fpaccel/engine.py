@@ -15,6 +15,11 @@ import math
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .accelerators import (
+    _CONVERGED,
+    _DIVERGED,
+    _MAX_ITER,
+    _NONFINITE,
+    _OK,
     DEFAULT_TOL,
     STEP_ERRORS,
     Status,
@@ -24,11 +29,6 @@ from .accelerators import (
     error_status,
 )
 from .jets import Scalar, is_finite
-
-# Status members bound once, as in accelerators: on Python 3.11 a read of
-# ``Status.OK`` costs ten module-global reads, and iterate reads them per step
-_OK, _CONVERGED, _DIVERGED = Status.OK, Status.CONVERGED, Status.DIVERGED
-_MAX_ITER, _NONFINITE = Status.MAX_ITER, Status.NONFINITE
 
 # empirical_order's verdict thresholds on the last error ratio
 _LOG_BAND = (0.95, 1.05)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .accelerators import (
+    _NONFINITE,
+    _SINGULAR,
     DEFAULT_TOL,
     STEP_ERRORS,
     Status,
@@ -27,9 +29,6 @@ from .accelerators import (
 )
 from .engine import IterationTrace
 from .jets import Scalar, is_finite
-
-# bound once, as in accelerators and engine: w_transform tests a status per point
-_SINGULAR, _NONFINITE = Status.SINGULAR, Status.NONFINITE
 
 __all__ = [
     "aitken_delta2",

@@ -215,6 +215,32 @@ def test_kernel_family_collapses_in_one_standard_step(alpha, beta, x_star, d):
     assert abs(w.value - x_star) <= 8.0 * d * c
 
 
+@_SETTINGS
+@given(_signed(0.5, 3.0), st.floats(-3.0, 3.0), st.sampled_from((1, 2, 3)), st.floats(-2.0, 2.0), _signed(1e-3, 0.05))
+@example(-0.5, -3.0, 1, -1.0, -0.05)  # the corner grid's worst v' ratio, 1.10
+@example(-0.5, -3.0, 1, 1.0, -0.05)  # and its worst w ratio, 0.80
+def test_two_term_s_family_steps_have_the_papers_slopes(a1, a2, r, x_star, d):
+    # u = x + a1 d^(r+1) + a2 d^(r+2) with d = x - x* has contact order
+    # m = r + 1: the first pass moves the slope at x* from 1 to 1 - 1/m, and
+    # the second pass makes x* superattracting.  Both bounds scale with
+    # k = 1 + |a2/a1|.  u' - 1 = d^r ((r+1) a1 + (r+2) a2 d) vanishes, and v'
+    # has a pole, at d = -(r+1) a1 / ((r+2) a2), here at |d| >= 0.111: the
+    # box stops at 0.05 to keep it out.  Worst ratios to k|d| and k d^2 on a
+    # 1,800-point corner grid of this box: 1.10 and 0.80 (the examples), so
+    # margins of 9x and 1.56x on the bounds 10 and 1.25; 0.86 and 0.70 over
+    # 20,000 random draws.  With |d| up to 0.1 the first ratio reaches 23.6
+    # (a1 = -0.5, a2 = 3, r = 1, d = 0.1).
+    u = corpus_lookup("s_family", alphas=(a1, a2), r=float(r), x_star=x_star).map
+    x = x_star + d
+    u_jet = u.at(x)
+    k = 1.0 + abs(a2 / a1)
+    _, status, slope = _first_newton(x, u_jet, 0.0)
+    w = standard_step(x, u_jet, 0.0)
+    assert status is Status.OK and w.status is Status.OK
+    assert abs(slope - (1.0 - 1.0 / (r + 1))) <= 10.0 * k * abs(d)
+    assert abs(w.value - x_star) <= 1.25 * k * d * d
+
+
 # kernel_family_map's traced code, one per kind of (alpha, x_star), traced
 # from one closure and bound to every drawn one
 _KERNEL_CODE: dict = {}
