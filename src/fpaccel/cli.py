@@ -169,6 +169,9 @@ def run_experiment(
 
 # ---------- rendering ----------
 # A column at a time, since Python work per value costs more than its text.
+# The text that is the same on every row of a column is built once per
+# column, so a row's f-string fills in only its index, its real part and one
+# tail, and ``repr`` of each part is what is left: the floor.
 
 _OK, _PAD = Status.OK.value, Status.NONFINITE.value  # value rows, Indeterminate pad rows
 
@@ -179,9 +182,21 @@ def _fmt(v: Scalar) -> str:
     return f"{v:.6g}"
 
 
+def _is_complex(kinds: set) -> bool:
+    """Whether a column whose values have the types ``kinds`` is complex."""
+    return any(issubclass(k, complex) for k in kinds)
+
+
 def _split(values: tuple):
-    """``(re, im)`` float lists of a column's values; im is None for a real column."""
-    if not any(map(isinstance, values, repeat(complex))):
+    """``(re, im)`` of a column's values; im is None for a real column.
+
+    A column of exact floats comes back as it is.  Any other real column is
+    copied with ``float``: a float subclass may ``repr`` itself another way.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return values, None
+    if not _is_complex(kinds):
         return list(map(float, values)), None
     re = [v.real if isinstance(v, complex) else float(v) for v in values]
     return re, [v.imag if isinstance(v, complex) else 0.0 for v in values]
@@ -197,7 +212,7 @@ def _mark_last(rows: list, c: MethodColumn, ok: str, encode=str) -> None:
 def render_markdown(exp: Experiment) -> str:
     columns = []
     for c in exp.columns:
-        fmt = _fmt if any(map(isinstance, c.values, repeat(complex))) else "{:.6g}".format
+        fmt = _fmt if _is_complex(set(map(type, c.values))) else "{:.6g}".format
         cells = [""] * c.offset + list(map(fmt, c.values))
         cells += ["Indeterminate"] * (c.pad_to - len(cells))
         columns.append(cells + [""] * (exp.n_rows - len(cells)))
@@ -208,24 +223,31 @@ def render_markdown(exp: Experiment) -> str:
 
 
 def render_csv(exp: Experiment) -> str:
-    """``n,method,re,im,status`` rows, a column per comprehension: ``repr`` of each float part."""
+    """``n,method,re,im,status`` rows, ``repr`` of each float part.
+
+    The text a column's rows share (the method, and for a real column the
+    ``0.0`` imaginary part and the status) is built once per column, so a
+    row costs little more than the ``repr`` of its parts, the floor.
+    """
     lines = ["n,method,re,im,status"]
     for c in exp.columns:
-        m, end = c.method, c.offset + len(c.values)
+        method, end = f",{c.method},", c.offset + len(c.values)
         re, im = _split(c.values)
-        ims = repeat("0.0") if im is None else map(repr, im)
-        lines += [f"{n},{m},{r!r},{i},{_OK}" for n, r, i in zip(range(c.offset, end), re, ims)]
+        tails = repeat(f",0.0,{_OK}") if im is None else [f",{i!r},{_OK}" for i in im]
+        lines += [f"{n}{method}{r!r}{t}" for n, r, t in zip(range(c.offset, end), re, tails)]
         _mark_last(lines, c, _OK)
-        lines += [f"{n},{m},,,{_PAD}" for n in range(end, c.pad_to)]
+        pad = f"{method},,{_PAD}"
+        lines += [f"{n}{pad}" for n in range(end, c.pad_to)]
     return "\n".join(lines)
 
 
-_JSON_DOC = '  {\n    "problem": %s,\n    "method": %s,\n    "rows": [%s],\n    "stop_reason": %s\n  }'
-_JSON_ROW, _JSON_OK = '\n      {\n        "n": ', _json_str(_OK)
-_JSON_PAD_ROW = _JSON_ROW + '%d,\n        "re": null,\n        "im": null,\n        "status": ' + _json_str(_PAD) + "\n      }"
+_JSON_OK = _json_str(_OK)
+# a row's text after its real part in a real column, and after its index in pad rows
+_JSON_REAL_TAIL = f',\n        "im": 0.0,\n        "status": {_JSON_OK}\n      }}'
+_JSON_PAD_TAIL = f',\n        "re": null,\n        "im": null,\n        "status": {_json_str(_PAD)}\n      }}'
 
 
-def _json_floats(xs: list):
+def _json_floats(xs):
     # json.dumps writes a finite float as repr does, and NaN, Infinity, -Infinity
     return map(repr if all(map(isfinite, xs)) else json.dumps, xs)
 
@@ -234,27 +256,41 @@ def render_json(exp: Experiment) -> str:
     """One document per column, ``{problem, method, rows, stop_reason}``.
 
     Exactly the text of ``json.dumps(docs, indent=2)``, each row ``{"n", "re",
-    "im", "status"}`` with null parts on a pad row, but written a column at a
-    time, one f-string per row: the indenting encoder is pure Python and slow.
+    "im", "status"}`` with null parts on a pad row, written without the
+    encoder, whose indenting path is pure Python and slow.  A real column's
+    rows share the text after their real part, built once per column, and
+    every piece of the document goes into one list, joined once, so a row
+    costs little more than the ``repr`` of its parts, the floor.
     """
-    docs = []
+    problem, parts = _json_str(exp.problem), []
     for c in exp.columns:
-        end = c.offset + len(c.values)
+        parts.append("," if parts else "[")  # between documents, or the array's opening
+        parts.append(f'\n  {{\n    "problem": {problem},\n    "method": {_json_str(c.method)},\n    "rows": [')
+        first, end = len(parts), c.offset + len(c.values)
         re, im = _split(c.values)
-        ims = repeat("0.0") if im is None else _json_floats(im)
-        rows = [
-            f'{_JSON_ROW}{n},\n        "re": {r},\n        "im": {i},\n        "status": {_JSON_OK}\n      }}'
-            for n, r, i in zip(range(c.offset, end), _json_floats(re), ims)
+        if im is None:
+            tails = repeat(_JSON_REAL_TAIL)
+        else:
+            tails = [f',\n        "im": {i},\n        "status": {_JSON_OK}\n      }}' for i in _json_floats(im)]
+        parts += [
+            f',\n      {{\n        "n": {n},\n        "re": {r}{t}'
+            for n, r, t in zip(range(c.offset, end), _json_floats(re), tails)
         ]
-        _mark_last(rows, c, _JSON_OK, _json_str)
-        rows += [_JSON_PAD_ROW % n for n in range(end, c.pad_to)]
-        body = ",".join(rows) + "\n    " if rows else ""
-        docs.append(_JSON_DOC % (_json_str(exp.problem), _json_str(c.method), body, _json_str(c.stop_reason)))
-    return "[\n" + ",\n".join(docs) + "\n]" if docs else "[]"
+        _mark_last(parts, c, _JSON_OK, _json_str)
+        parts += [f',\n      {{\n        "n": {n}{_JSON_PAD_TAIL}' for n in range(end, c.pad_to)]
+        if len(parts) > first:
+            parts[first] = parts[first][1:]  # no comma before a column's first row
+            parts.append("\n    ")
+        parts.append(f'],\n    "stop_reason": {_json_str(c.stop_reason)}\n  }}')
+    parts.append("\n]" if parts else "[]")
+    return "".join(parts)
+
+
+_RENDERERS = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
 
 
 def render(exp: Experiment, fmt: str) -> str:
-    renderer = {"markdown": render_markdown, "csv": render_csv, "json": render_json}.get(fmt)
+    renderer = _RENDERERS.get(fmt)
     if renderer is None:
         raise UsageError(f"unknown format {fmt!r}")
     return renderer(exp)
@@ -452,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0-im", type=float, dest="x0_im", help="imaginary part of the start point")
     p.add_argument("--max-iter", type=int, default=20)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
+    p.add_argument("--format", choices=tuple(_RENDERERS), default="markdown")
     p.add_argument("--suite", action="append", default=[], metavar="NAME", help="golden suite to run, repeatable")
     return p
 
